@@ -1,24 +1,31 @@
 """Nonlocal diffusion coefficients by zero-padded spectral convolution.
 
-The scalar kernel 1/(4 pi |v|) yields the Newtonian potential a[f] and the
-matrix kernel Pi(v)/(8 pi |v|), Pi(v) = Id - v v^T/|v|^2, yields the
-diffusion matrix A[f].  Kernels are tabulated once per grid on the doubled
-(zero-padding) grid; the singular cell is replaced by the analytic average
-of the kernel over that cell, which keeps the quadrature second order and
-preserves tr A[f] = a[f] exactly at the table level.
+The matrix kernel Pi(v)/(8 pi |v|), Pi(v) = Id - v v^T/|v|^2, yields the
+diffusion matrix A[f]; its trace is the scalar kernel 1/(4 pi |v|), so the
+potential is a[f] = tr A[f].  The six components are tabulated once per
+grid on the doubled (zero-padding) grid; the singular cell is replaced by
+the analytic average of the kernel over that cell, which keeps the
+quadrature second order.  The table keeps only their real symbols,
+6 (2n)^2 (n+1) doubles (about 51 MB at n = 64).
+
+Every convolution runs through one pruned transform path (Markel's FFT
+pruning): the forward transform of f goes axis by axis and never touches
+the seven-eighths of the padded input that is zero, and the inverse, one
+batch over all six components, drops the discarded output rows after
+each axis.
 """
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import fft as sp_fft
 from scipy.integrate import dblquad
 
 from . import _accel
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 from .grid_field import (
     ScalarField,
     SymMatrixField,
@@ -34,6 +41,9 @@ _EIGHT_PI = 8.0 * np.pi
 
 _SCALAR_COMPONENT = "scalar"
 _MATRIX_COMPONENTS = ("xx", "yy", "zz", "xy", "xz", "yz")
+# a symbol's imaginary part, relative to its largest real part, above which
+# the table is rejected; parity makes it round-off (~1e-17) by construction
+_SYMBOL_IMAG_RTOL = 1e-12
 
 
 def fft_workers() -> int:
@@ -82,21 +92,96 @@ def _unit_cell_kernel_average() -> float:
 _MIDPOINT_DEFICIT = 0.03638447
 
 
+def _origin_slot(h: float) -> float:
+    """Scalar-kernel value at the singular cell, corrected for its lattice."""
+    return (_unit_cell_kernel_average() + _MIDPOINT_DEFICIT) / h
+
+
+def _kernel_geometry(grid: VelocityGrid):
+    """Wrap-ordered offsets, |offset|^2 and |offset| on the doubled grid.
+
+    Index j holds cell offset j for j <= n and j - 2n beyond; the origin's
+    |offset| is a placeholder that the kernels overwrite.
+    """
+    n = grid.n
+    m = 2 * n
+    j = np.arange(m)
+    off = np.where(j <= n, j, j - m).astype(float) * grid.h
+    o = (off[:, None, None], off[None, :, None], off[None, None, :])
+    r2 = o[0] * o[0] + o[1] * o[1] + o[2] * o[2]
+    r2[0, 0, 0] = 1.0
+    return o, r2, np.sqrt(r2)
+
+
+def _scalar_kernel(grid: VelocityGrid) -> np.ndarray:
+    _, _, r = _kernel_geometry(grid)
+    scalar = 1.0 / (_FOUR_PI * r)
+    scalar[0, 0, 0] = _origin_slot(grid.h)
+    return scalar
+
+
+def _matrix_kernel(grid: VelocityGrid, comp: int, geometry) -> np.ndarray:
+    """One component of Pi(v)/(8 pi |v|), in the order of _MATRIX_COMPONENTS."""
+    o, r2, r = geometry
+    i, k = ("xyz".index(axis) for axis in _MATRIX_COMPONENTS[comp])
+    kernel = (1.0 / (_EIGHT_PI * r)) * (float(i == k) - o[i] * o[k] / r2)
+    # origin slot: cubic symmetry kills the off-diagonal averages and
+    # splits the scalar slot evenly over the diagonal
+    kernel[0, 0, 0] = _origin_slot(grid.h) / 3.0 if i == k else 0.0
+    return kernel
+
+
+def _forward(values: np.ndarray, m: int, workers: int) -> np.ndarray:
+    """rfftn of values zero-padded to m^3, one axis at a time.
+
+    Each 1-D pass pads only its own axis, so the rows that are zero along
+    the later axes are never transformed (FFT pruning).
+    """
+    spec = sp_fft.rfft(values, n=m, axis=2, workers=workers)
+    spec = sp_fft.fft(spec, n=m, axis=1, workers=workers)
+    return sp_fft.fft(spec, n=m, axis=0, workers=workers)
+
+
+def _inverse(spec: np.ndarray, n: int, workers: int) -> np.ndarray:
+    """Leading n^3 corner of irfftn over the last three axes of spec.
+
+    Rows beyond n are dropped after each 1-D pass, so the later passes
+    never compute output cells that would be discarded.  The complex
+    passes run in place: spec is overwritten.
+    """
+    out = sp_fft.ifft(spec, axis=-2, workers=workers, overwrite_x=True)[..., :n, :]
+    out = sp_fft.ifft(out, axis=-3, workers=workers, overwrite_x=True)[..., :n, :, :]
+    return sp_fft.irfft(out, n=2 * n, axis=-1, workers=workers)[..., :n]
+
+
 @dataclass(frozen=True)
 class KernelTable:
-    """Kernel values on the doubled grid, wrap-ordered for circular FFT use.
+    """Real transfer functions of the six matrix-kernel components.
 
-    Offsets run over -(n-1)..(n-1) cells per axis; the unused slot at
-    offset n never multiplies retained output cells.  ``matrix`` holds the
-    six symmetric components in the order xx, yy, zz, xy, xz, yz, and its
-    trace equals the scalar table nodewise (tr Pi/(8 pi r) = 1/(4 pi r)).
+    ``symbols`` has shape (6, 2n, 2n, n+1) in the order xx, yy, zz, xy, xz,
+    yz: the rfftn of each component tabulated on the doubled grid in wrap
+    order, offsets -(n-1)..(n-1) per axis.  The unused slot at offset n
+    never multiplies a retained output cell, so it is zeroed; each
+    component is then even or odd along every axis and its symbol is
+    real.  The scalar kernel needs no symbol of its own: tr Pi/(8 pi r) =
+    1/(4 pi r) nodewise, so its symbol is the sum of the diagonal three.
+
+    The real-space ``scalar`` and ``matrix`` tables, offset-n slots not
+    zeroed, are built on first access; only the direct-sum route and the
+    tests read them.
     """
 
     grid: VelocityGrid
-    scalar: np.ndarray
-    matrix: np.ndarray
-    scalar_hat: np.ndarray
-    matrix_hat: np.ndarray
+    symbols: np.ndarray
+
+    @cached_property
+    def scalar(self) -> np.ndarray:
+        return _scalar_kernel(self.grid)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        geometry = _kernel_geometry(self.grid)
+        return np.stack([_matrix_kernel(self.grid, c, geometry) for c in range(6)])
 
 
 @dataclass(frozen=True)
@@ -110,45 +195,19 @@ class CoefficientSet:
 
 def build_kernel_table(grid: VelocityGrid) -> KernelTable:
     n = grid.n
-    h = grid.h
     m = 2 * n
-    j = np.arange(m)
-    # wrap order: index j holds cell offset j for j <= n, j - 2n beyond
-    off = np.where(j <= n, j, j - m).astype(float) * h
-    ox = off[:, None, None]
-    oy = off[None, :, None]
-    oz = off[None, None, :]
-    r2 = ox * ox + oy * oy + oz * oz
-    r2[0, 0, 0] = 1.0  # placeholder, origin cell overwritten below
-    r = np.sqrt(r2)
-
-    scalar = 1.0 / (_FOUR_PI * r)
-    s0 = (_unit_cell_kernel_average() + _MIDPOINT_DEFICIT) / h
-    scalar[0, 0, 0] = s0
-
-    pref = 1.0 / (_EIGHT_PI * r)
-    matrix = np.empty((6,) + r.shape)
-    matrix[0] = pref * (1.0 - ox * ox / r2)
-    matrix[1] = pref * (1.0 - oy * oy / r2)
-    matrix[2] = pref * (1.0 - oz * oz / r2)
-    matrix[3] = pref * (-ox * oy / r2)
-    matrix[4] = pref * (-ox * oz / r2)
-    matrix[5] = pref * (-oy * oz / r2)
-    # origin slot of the matrix kernel: cubic symmetry kills the
-    # off-diagonal averages and splits the scalar slot evenly
-    matrix[0, 0, 0, 0] = matrix[1, 0, 0, 0] = matrix[2, 0, 0, 0] = s0 / 3.0
-    matrix[3, 0, 0, 0] = matrix[4, 0, 0, 0] = matrix[5, 0, 0, 0] = 0.0
-
     workers = fft_workers()
-    scalar_hat = sp_fft.rfftn(scalar, workers=workers)
-    matrix_hat = sp_fft.rfftn(matrix, axes=(1, 2, 3), workers=workers)
-    return KernelTable(
-        grid=grid,
-        scalar=scalar,
-        matrix=matrix,
-        scalar_hat=scalar_hat,
-        matrix_hat=matrix_hat,
-    )
+    geometry = _kernel_geometry(grid)
+    symbols = np.empty((6, m, m, n + 1))
+    for c, name in enumerate(_MATRIX_COMPONENTS):
+        kernel = _matrix_kernel(grid, c, geometry)
+        kernel[n, :, :] = kernel[:, n, :] = kernel[:, :, n] = 0.0
+        hat = _forward(kernel, m, workers)
+        scale = float(np.max(np.abs(hat.real)))
+        if float(np.max(np.abs(hat.imag))) > _SYMBOL_IMAG_RTOL * scale:
+            raise NumericError(f"kernel symbol {name} is not real")
+        symbols[c] = hat.real
+    return KernelTable(grid=grid, symbols=symbols)
 
 
 _TABLE_CACHE: dict[tuple[int, float], KernelTable] = {}
@@ -165,14 +224,6 @@ def kernel_table_for(grid: VelocityGrid) -> KernelTable:
     return table
 
 
-def _padded_hat(f: ScalarField) -> np.ndarray:
-    n = f.grid.n
-    m = 2 * n
-    padded = np.zeros((m, m, m))
-    padded[:n, :n, :n] = f.values
-    return sp_fft.rfftn(padded, workers=fft_workers())
-
-
 def convolve_free_space(
     f: ScalarField, table: KernelTable, component: str = _SCALAR_COMPONENT
 ) -> ScalarField:
@@ -184,18 +235,16 @@ def convolve_free_space(
     if table.grid is not f.grid and (table.grid.n, table.grid.l) != (f.grid.n, f.grid.l):
         raise ValueError("kernel table grid does not match field grid")
     if component == _SCALAR_COMPONENT:
-        khat = table.scalar_hat
+        khat = table.symbols[0] + table.symbols[1] + table.symbols[2]
     else:
         try:
-            khat = table.matrix_hat[_MATRIX_COMPONENTS.index(component)]
+            khat = table.symbols[_MATRIX_COMPONENTS.index(component)]
         except ValueError:
             raise ValueError(f"unknown kernel component {component!r}") from None
     n = f.grid.n
-    m = 2 * n
-    fhat = _padded_hat(f)
-    full = sp_fft.irfftn(fhat * khat, s=(m, m, m), workers=fft_workers())
-    vals = full[:n, :n, :n] * f.grid.cell_volume()
-    return ScalarField(f.grid, np.ascontiguousarray(vals))
+    workers = fft_workers()
+    vals = _inverse(_forward(f.values, 2 * n, workers) * khat, n, workers)
+    return ScalarField(f.grid, vals * f.grid.cell_volume())
 
 
 def direct_convolve(
@@ -235,9 +284,10 @@ def direct_convolve(
 def compute_coefficients(f: ScalarField, table: KernelTable | None = None) -> CoefficientSet:
     """Potential a[f], its gradient, diffusion matrix A[f], and spectral range.
 
-    One forward transform of the padded f is shared by all seven kernel
-    components; grad a is obtained by differencing the potential so the
-    flux scheme sees the exact discrete identity grad_a = gradient(a).
+    One forward transform of f and one batched inverse over the six matrix
+    components; a[f] = tr A[f] because the kernels' traces agree nodewise.
+    grad a is obtained by differencing the potential so the flux scheme
+    sees the exact discrete identity grad_a = gradient(a).
     """
     grid = f.grid
     mass = grid.cell_volume() * float(np.sum(f.values))
@@ -246,18 +296,10 @@ def compute_coefficients(f: ScalarField, table: KernelTable | None = None) -> Co
     if table is None:
         table = kernel_table_for(grid)
     n = grid.n
-    m = 2 * n
     workers = fft_workers()
-    fhat = _padded_hat(f)
-    scale = grid.cell_volume()
-
-    a_full = sp_fft.irfftn(fhat * table.scalar_hat, s=(m, m, m), workers=workers)
-    a_vals = np.ascontiguousarray(a_full[:n, :n, :n]) * scale
-
-    mat_full = sp_fft.irfftn(
-        fhat[None, ...] * table.matrix_hat, s=(m, m, m), axes=(1, 2, 3), workers=workers
-    )
-    a6 = np.ascontiguousarray(mat_full[:, :n, :n, :n]) * scale
+    fhat = _forward(f.values, 2 * n, workers)
+    a6 = _inverse(fhat * table.symbols, n, workers) * grid.cell_volume()
+    a_vals = a6[0] + a6[1] + a6[2]
 
     grad_a = gradient_values(grid, a_vals)
     lmin, lmax = _accel.eig_range(a6)

@@ -12,8 +12,6 @@ from functools import cached_property
 
 import numpy as np
 
-_negative_clip_events = 0
-
 
 @dataclass(frozen=True)
 class VelocityGrid:
@@ -116,26 +114,14 @@ def integrate(field: ScalarField) -> float:
 
 def weighted_lp_norm(f: ScalarField, p: float, m: float) -> float:
     """(integral of <v>^m f^p)^(1/p); negative node values are clipped to 0."""
-    global _negative_clip_events
     if p < 1.0:
         raise ValueError("p must be at least 1")
     vals = f.values
     if np.any(vals < 0.0):
-        _negative_clip_events += 1
         vals = np.maximum(vals, 0.0)
     w = weight_field(f.grid, m).values
     total = f.grid.cell_volume() * np.sum(w * vals ** p)
     return float(total ** (1.0 / p))
-
-
-def negative_clip_count() -> int:
-    """Number of weighted_lp_norm calls that had to clip negative values."""
-    return _negative_clip_events
-
-
-def reset_negative_clip_count() -> None:
-    global _negative_clip_events
-    _negative_clip_events = 0
 
 
 def gradient_values(grid: VelocityGrid, values: np.ndarray) -> np.ndarray:

@@ -1,6 +1,9 @@
 """Kernel tables, the two convolution routes, and coefficient assembly."""
+import dataclasses
+
 import numpy as np
 import pytest
+from scipy import fft as sp_fft
 from scipy.special import erf
 
 import landau
@@ -171,3 +174,64 @@ def test_verify_coefficient_bounds(grid16):
     assert rep.passed
     assert np.isfinite(rep.max_ratio)
     assert len(rep.ratios) == 5
+
+
+def _padded_kernels(table):
+    """Real-space kernels, scalar first, with the offset-n planes zeroed."""
+    n = table.grid.n
+    kernels = np.concatenate([table.scalar[None], table.matrix])
+    kernels[:, n] = kernels[:, :, n] = kernels[:, :, :, n] = 0.0
+    return kernels
+
+
+@pytest.mark.parametrize("grid_name", ["grid8", "grid16"])
+def test_symbols_are_real(request, grid_name):
+    table = landau.kernel_table_for(request.getfixturevalue(grid_name))
+    hats = sp_fft.rfftn(_padded_kernels(table)[1:], axes=(1, 2, 3))
+    for c, hat in enumerate(hats):
+        scale = float(np.max(np.abs(hat.real)))
+        assert float(np.max(np.abs(hat.imag))) <= 1e-12 * scale, COMPONENTS[c + 1]
+        assert np.allclose(table.symbols[c], hat.real, rtol=0.0, atol=1e-13 * scale)
+
+
+def test_complex_symbol_rejected(grid8, monkeypatch):
+    # a kernel that is neither even nor odd along x has no real symbol
+    build = coefficients._matrix_kernel
+
+    def lopsided(grid, comp, geometry):
+        kernel = build(grid, comp, geometry)
+        kernel[1, 0, 0] += 1e-3
+        return kernel
+
+    monkeypatch.setattr(coefficients, "_matrix_kernel", lopsided)
+    with pytest.raises(landau.NumericError, match="kernel symbol xx is not real"):
+        coefficients.build_kernel_table(grid8)
+
+
+@pytest.mark.parametrize("grid_name", ["grid8", "grid16"])
+def test_matches_full_padded_convolution(request, grid_name):
+    grid = request.getfixturevalue(grid_name)
+    table = landau.kernel_table_for(grid)
+    n, m = grid.n, 2 * grid.n
+    rng = np.random.default_rng(5)
+    f = landau.ScalarField(grid, rng.random((n, n, n)))
+    padded = np.zeros((m, m, m))
+    padded[:n, :n, :n] = f.values
+    fhat = sp_fft.rfftn(padded)
+    for comp, kernel in zip(COMPONENTS, _padded_kernels(table)):
+        full = sp_fft.irfftn(fhat * sp_fft.rfftn(kernel), s=(m, m, m))
+        want = full[:n, :n, :n] * grid.cell_volume()
+        got = landau.convolve_free_space(f, table, comp).values
+        scale = float(np.max(np.abs(want)))
+        assert float(np.max(np.abs(got - want))) <= 1e-13 * scale, comp
+
+
+@pytest.mark.parametrize("grid_name", ["grid8", "grid16"])
+def test_table_holds_only_real_symbols(request, grid_name):
+    grid = request.getfixturevalue(grid_name)
+    table = landau.kernel_table_for(grid)
+    n, m = grid.n, 2 * grid.n
+    arrays = [getattr(table, f.name) for f in dataclasses.fields(table)]
+    arrays = [a for a in arrays if isinstance(a, np.ndarray)]
+    assert not any(np.iscomplexobj(a) for a in arrays)
+    assert sum(a.nbytes for a in arrays) == 6 * m * m * (n + 1) * 8

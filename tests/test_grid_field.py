@@ -83,18 +83,14 @@ def test_weighted_lp_norm_validation(grid16):
         landau.weighted_lp_norm(mu, 0.5, 0.0)
 
 
-def test_negative_clip_counter(grid16):
-    from landau import grid_field
-
-    grid_field.reset_negative_clip_count()
+def test_weighted_lp_norm_clips_negative(grid16):
     vals = np.full((16, 16, 16), 1.0)
     vals[0, 0, 0] = -1e-3
-    f = landau.ScalarField(grid16, vals)
-    before = grid_field.negative_clip_count()
-    landau.weighted_lp_norm(f, 1.5, 0.0)
-    assert grid_field.negative_clip_count() == before + 1
-    grid_field.reset_negative_clip_count()
-    assert grid_field.negative_clip_count() == 0
+    clipped = vals.copy()
+    clipped[0, 0, 0] = 0.0
+    got = landau.weighted_lp_norm(landau.ScalarField(grid16, vals), 1.5, 0.0)
+    want = landau.weighted_lp_norm(landau.ScalarField(grid16, clipped), 1.5, 0.0)
+    assert got == want
 
 
 def test_gradient_exact_on_linear(grid16):
