@@ -1,8 +1,8 @@
 """Hot numerical kernels with a numba path and a pure-numpy fallback.
 
-The flux-divergence assembly and the per-node symmetric 3x3 eigenvalue
-range are the only loops that run every stage of every time step outside
-the FFTs.  Both carry an ``@njit`` implementation and a vectorized numpy
+The flux-divergence assembly, run at every stage of every time step, and
+the per-node symmetric 3x3 eigenvalue range, run once per recorded state,
+are the only loops outside the FFTs.  Both carry an ``@njit`` implementation and a vectorized numpy
 implementation; ``LANDAU_NUMBA=0`` in the environment forces the numpy
 path.  Both paths are serial and deterministic so repeated runs produce
 bit-identical output.

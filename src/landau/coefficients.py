@@ -10,9 +10,10 @@ quadrature second order.  The table keeps only their real symbols,
 
 Every convolution runs through one pruned transform path (Markel's FFT
 pruning): the forward transform of f goes axis by axis and never touches
-the seven-eighths of the padded input that is zero, and the inverse, one
-batch over all six components, drops the discarded output rows after
-each axis.
+the seven-eighths of the padded input that is zero, and the inverse drops
+the discarded output rows after each axis.  ``compute_coefficients``
+transforms f once and streams the six components, one at a time, through
+a single reused spectrum buffer.
 """
 from __future__ import annotations
 
@@ -186,11 +187,31 @@ class KernelTable:
 
 @dataclass(frozen=True)
 class CoefficientSet:
+    """Potential a[f], its gradient, and the diffusion matrix A[f].
+
+    The ellipticity range is derived from A on first read and cached:
+    ``c0_hat`` = min over nodes of <v>^3 lambda_min(A), ``sup_A`` = max
+    over nodes of lambda_max(A).  A set that is only stepped with, such
+    as a Heun stage, never computes it.
+    """
+
     a: ScalarField
     grad_a: VectorField
     A: SymMatrixField
-    c0_hat: float
-    sup_A: float
+
+    @cached_property
+    def _ellipticity_range(self) -> tuple[float, float]:
+        lmin, lmax = _accel.eig_range(self.A.values)
+        w3 = weight_field(self.A.grid, 3.0).values
+        return float(np.min(w3 * lmin)), float(np.max(lmax))
+
+    @property
+    def c0_hat(self) -> float:
+        return self._ellipticity_range[0]
+
+    @property
+    def sup_A(self) -> float:
+        return self._ellipticity_range[1]
 
 
 def build_kernel_table(grid: VelocityGrid) -> KernelTable:
@@ -224,6 +245,11 @@ def kernel_table_for(grid: VelocityGrid) -> KernelTable:
     return table
 
 
+def _check_table_grid(table: KernelTable, grid: VelocityGrid) -> None:
+    if table.grid is not grid and (table.grid.n, table.grid.l) != (grid.n, grid.l):
+        raise ValueError("kernel table grid does not match field grid")
+
+
 def convolve_free_space(
     f: ScalarField, table: KernelTable, component: str = _SCALAR_COMPONENT
 ) -> ScalarField:
@@ -232,8 +258,7 @@ def convolve_free_space(
     Equals the direct sum h^3 sum_w K(v - w) f(w) to round-off: the zero
     padding guarantees no periodic image reaches a retained output cell.
     """
-    if table.grid is not f.grid and (table.grid.n, table.grid.l) != (f.grid.n, f.grid.l):
-        raise ValueError("kernel table grid does not match field grid")
+    _check_table_grid(table, f.grid)
     if component == _SCALAR_COMPONENT:
         khat = table.symbols[0] + table.symbols[1] + table.symbols[2]
     else:
@@ -256,8 +281,7 @@ def direct_convolve(
     grows with n^6, so keep n small.  Kept as an independent route for
     verifying the spectral result.
     """
-    if table.grid is not f.grid and (table.grid.n, table.grid.l) != (f.grid.n, f.grid.l):
-        raise ValueError("kernel table grid does not match field grid")
+    _check_table_grid(table, f.grid)
     if component == _SCALAR_COMPONENT:
         ker = table.scalar
     else:
@@ -282,12 +306,14 @@ def direct_convolve(
 
 
 def compute_coefficients(f: ScalarField, table: KernelTable | None = None) -> CoefficientSet:
-    """Potential a[f], its gradient, diffusion matrix A[f], and spectral range.
+    """Potential a[f], its gradient and diffusion matrix A[f].
 
-    One forward transform of f and one batched inverse over the six matrix
-    components; a[f] = tr A[f] because the kernels' traces agree nodewise.
-    grad a is obtained by differencing the potential so the flux scheme
-    sees the exact discrete identity grad_a = gradient(a).
+    One forward transform of f; then, per matrix component, the spectrum
+    times that component's symbol goes through one reused buffer and one
+    pruned inverse into A.  a[f] = tr A[f] because the kernels' traces
+    agree nodewise.  grad a is obtained by differencing the potential so
+    the flux scheme sees the exact discrete identity grad_a = gradient(a).
+    The ellipticity range is left to the first read of the set.
     """
     grid = f.grid
     mass = grid.cell_volume() * float(np.sum(f.values))
@@ -295,23 +321,21 @@ def compute_coefficients(f: ScalarField, table: KernelTable | None = None) -> Co
         raise ValueError("f has nonpositive total mass; ellipticity undefined")
     if table is None:
         table = kernel_table_for(grid)
+    _check_table_grid(table, grid)
     n = grid.n
     workers = fft_workers()
     fhat = _forward(f.values, 2 * n, workers)
-    a6 = _inverse(fhat * table.symbols, n, workers) * grid.cell_volume()
+    spec = np.empty_like(fhat)
+    a6 = np.empty((6, n, n, n))
+    for c in range(6):
+        np.multiply(fhat, table.symbols[c], out=spec)
+        a6[c] = _inverse(spec, n, workers)
+    a6 *= grid.cell_volume()
     a_vals = a6[0] + a6[1] + a6[2]
-
-    grad_a = gradient_values(grid, a_vals)
-    lmin, lmax = _accel.eig_range(a6)
-    w3 = weight_field(grid, 3.0).values
-    c0_hat = float(np.min(w3 * lmin))
-    sup_a = float(np.max(lmax))
     return CoefficientSet(
         a=ScalarField(grid, a_vals),
-        grad_a=VectorField(grid, grad_a),
+        grad_a=VectorField(grid, gradient_values(grid, a_vals)),
         A=SymMatrixField(grid, a6),
-        c0_hat=c0_hat,
-        sup_A=sup_a,
     )
 
 

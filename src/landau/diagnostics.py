@@ -98,14 +98,14 @@ class LevelSetWindow:
     n_snapshots: int
 
 
-def _excess_integrals(snap, level: float, p: float, m: float):
+def _excess_integrals(snap, level: float, p: float, wm, wg):
+    """Weighted p-mass of the excess over level (weight wm) and its
+    gradient term (weight wg) for one snapshot."""
     grid = snap.f.grid
     vol = grid.cell_volume()
     excess = np.maximum(snap.f.values - level, 0.0)
-    wm = weight_field(grid, m).values
     a_val = vol * float(np.sum(wm * excess ** p))
     ge = gradient_values(grid, excess ** (0.5 * p))
-    wg = weight_field(grid, m - 3.0).values
     b_val = vol * float(np.sum(wg * (ge[0] ** 2 + ge[1] ** 2 + ge[2] ** 2)))
     return a_val, b_val
 
@@ -126,11 +126,14 @@ def level_set_energy(
     snaps = [s for s in states if t1 - 1e-12 * span <= s.t <= t2 + 1e-12 * span]
     if not snaps:
         raise ValueError("empty window: no snapshots in [t1, t2]")
+    grid = snaps[0].f.grid
+    wm = weight_field(grid, m).values
+    wg = weight_field(grid, m - 3.0).values
     a_vals = []
     b_vals = []
     times = []
     for s in snaps:
-        a_val, b_val = _excess_integrals(s, level, p, m)
+        a_val, b_val = _excess_integrals(s, level, p, wm, wg)
         a_vals.append(a_val)
         b_vals.append(b_val)
         times.append(s.t)

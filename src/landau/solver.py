@@ -66,8 +66,6 @@ def _zero_coefficients(grid: VelocityGrid) -> CoefficientSet:
         a=ScalarField(grid, z),
         grad_a=VectorField(grid, np.zeros((3,) + z.shape)),
         A=SymMatrixField(grid, np.zeros((6,) + z.shape)),
-        c0_hat=0.0,
-        sup_A=0.0,
     )
 
 

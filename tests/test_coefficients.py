@@ -1,5 +1,6 @@
 """Kernel tables, the two convolution routes, and coefficient assembly."""
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from scipy import fft as sp_fft
 from scipy.special import erf
 
 import landau
-from landau import coefficients
+from landau import _accel, coefficients
 from landau.errors import ConfigError
 
 from oracle_values import A_MU_ORIGIN, LATTICE_DEFICIT, S0_UNIT
@@ -166,6 +167,57 @@ def test_table_grid_mismatch(grid8, grid16, table8):
         landau.convolve_free_space(
             landau.ScalarField(grid8, np.ones((8, 8, 8))), table8, "yx"
         )
+
+
+@pytest.mark.parametrize(
+    "route",
+    [landau.compute_coefficients, landau.convolve_free_space, landau.direct_convolve],
+)
+def test_table_for_other_box_rejected(grid16, route):
+    # same n, different l: the table's offsets are scaled for another h
+    grid = landau.make_grid(16, 6.0)
+    f = landau.ScalarField(grid, landau.maxwellian(grid).values)
+    with pytest.raises(ValueError, match="kernel table grid does not match"):
+        route(f, landau.kernel_table_for(grid16))
+
+
+@pytest.mark.parametrize("grid_name", ["grid16", "grid32"])
+def test_streamed_matrix_matches_single_component(request, grid_name):
+    grid = request.getfixturevalue(grid_name)
+    table = landau.kernel_table_for(grid)
+    n = grid.n
+    rng = np.random.default_rng(13)
+    f = landau.ScalarField(grid, rng.random((n, n, n)))
+    c = landau.compute_coefficients(f, table)
+    for i, comp in enumerate(COMPONENTS[1:]):
+        single = landau.convolve_free_space(f, table, comp).values
+        assert np.array_equal(c.A.values[i], single), comp
+
+
+def test_compute_coefficients_allocation_peak(grid32):
+    # the six spectra share one buffer: the peak stays below the size of
+    # a (6, 2n, 2n, n+1) complex batch
+    n = grid32.n
+    table = landau.kernel_table_for(grid32)
+    f = landau.maxwellian(grid32)
+    landau.compute_coefficients(f, table)
+    tracemalloc.start()
+    try:
+        landau.compute_coefficients(f, table)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * (2 * n) ** 2 * (n + 1) * 16
+
+
+def test_ellipticity_range_matches_eager_formula(grid16):
+    rng = np.random.default_rng(17)
+    f = landau.ScalarField(grid16, rng.random((16, 16, 16)))
+    c = landau.compute_coefficients(f)
+    lmin, lmax = _accel.eig_range(c.A.values)
+    w3 = landau.weight_field(grid16, 3.0).values
+    assert c.c0_hat == float(np.min(w3 * lmin))
+    assert c.sup_A == float(np.max(lmax))
 
 
 def test_verify_coefficient_bounds(grid16):

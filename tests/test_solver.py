@@ -22,8 +22,6 @@ def identity_coefficients(grid):
         a=landau.ScalarField(grid, z),
         grad_a=landau.VectorField(grid, np.zeros((3, n, n, n))),
         A=landau.SymMatrixField(grid, mat),
-        c0_hat=1.0,
-        sup_A=1.0,
     )
 
 
@@ -91,6 +89,8 @@ def test_identity_coefficients_give_heat_flux(grid16):
 def test_zero_field_fixed_point(grid16):
     f = landau.ScalarField(grid16, np.zeros((16, 16, 16)))
     state = make_state(f)
+    # derived from the all-zero A
+    assert state.coeffs.c0_hat == 0.0
     assert state.coeffs.sup_A == 0.0
     control = StepControl(cfl=0.5, dt_min=1e-9, dt_max=0.25)
     # no dynamics: the step falls back to dt_max and nothing moves
@@ -207,3 +207,22 @@ def test_face_flux_component_accessor(grid16):
     assert fl.component(1) is fl.y
     assert fl.component(2) is fl.z
     assert isinstance(fl, FaceFluxes)
+
+
+def test_eig_range_once_per_recorded_state(grid16, monkeypatch):
+    # the ellipticity range is read by diagnostics.record and stable_dt on
+    # recorded states only; Heun-stage coefficient sets never compute it
+    calls = []
+    eig_range = _accel.eig_range
+
+    def counting(a6):
+        calls.append(1)
+        return eig_range(a6)
+
+    monkeypatch.setattr(_accel, "eig_range", counting)
+    control = StepControl(cfl=0.5, dt_min=1e-9, dt_max=0.01)
+    traj = landau.run(landau.maxwellian(grid16), 0.03, control)
+    steps = traj.states[-1].step_count
+    assert steps == 3
+    assert len(traj.records) == steps + 1
+    assert len(calls) == steps + 1
