@@ -82,8 +82,6 @@ from .solver import (
     Snapshot,
     StepControl,
     Trajectory,
-    divergence,
-    flux,
     make_state,
     run,
     stable_dt,

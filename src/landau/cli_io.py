@@ -15,6 +15,7 @@ import math
 import os
 import struct
 import sys
+import typing
 import warnings
 from dataclasses import dataclass, field
 
@@ -130,15 +131,17 @@ class ExperimentConfig:
     inequalities: InequalitiesConfig = field(default_factory=InequalitiesConfig)
 
 
-_SECTION_KEYS = {
-    "grid": ("n", "l"),
-    "initial_data": ("family", "sigma", "separation", "k", "R", "seed", "modes"),
-    "run": ("T", "cfl", "dt_min", "dt_max", "snapshot_cadence", "positivity_clip"),
-    "diagnostics": ("p_list", "m_list", "f_floor"),
-    "experiments.eps_regularity": ("enabled", "K"),
-    "experiments.ladder": ("enabled", "regime", "K", "amplitude", "N_levels", "p", "t"),
-    "experiments.barrier": ("enabled", "regime", "a", "k", "n_weight"),
-    "experiments.inequalities": ("enabled", "corpus_seed", "corpus_size"),
+# INI section -> ExperimentConfig attribute; the experiment sections are
+# the ones whose dataclass has an ``enabled`` field
+_SECTIONS = {
+    "grid": "grid",
+    "initial_data": "initial_data",
+    "run": "run",
+    "diagnostics": "diagnostics",
+    "experiments.eps_regularity": "eps_regularity",
+    "experiments.ladder": "ladder",
+    "experiments.barrier": "barrier",
+    "experiments.inequalities": "inequalities",
 }
 
 
@@ -178,6 +181,21 @@ def _parse_float_list(section: str, key: str, raw: str) -> tuple:
     return values
 
 
+def _parse_str(section: str, key: str, raw: str) -> str:
+    return raw.strip()
+
+
+# field type -> parser of its INI value
+_PARSERS = {
+    int: _parse_int,
+    float: _parse_float,
+    float | None: _parse_float,
+    bool: _parse_bool,
+    str: _parse_str,
+    tuple: _parse_float_list,
+}
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Validated config from INI text; unset keys take the defaults."""
     cp = configparser.ConfigParser(interpolation=None)
@@ -188,55 +206,18 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(f"config parse error: {exc}") from None
 
     cfg = ExperimentConfig()
-    targets = {
-        "experiments.eps_regularity": cfg.eps_regularity,
-        "experiments.ladder": cfg.ladder,
-        "experiments.barrier": cfg.barrier,
-        "experiments.inequalities": cfg.inequalities,
-    }
     for section in cp.sections():
-        if section not in _SECTION_KEYS:
+        if section not in _SECTIONS:
             raise ConfigError(f"unknown section [{section}]")
+        target = getattr(cfg, _SECTIONS[section])
+        types = typing.get_type_hints(type(target))
         for key, raw in cp.items(section):
-            if key not in _SECTION_KEYS[section]:
+            if key not in types:
                 raise ConfigError(f"unknown key {section}.{key}")
-            if section == "grid":
-                if key == "n":
-                    cfg.grid.n = _parse_int(section, key, raw)
-                else:
-                    cfg.grid.l = _parse_float(section, key, raw)
-            elif section == "initial_data":
-                if key == "family":
-                    cfg.initial_data.family = raw.strip()
-                elif key in ("seed", "modes"):
-                    setattr(cfg.initial_data, key, _parse_int(section, key, raw))
-                else:
-                    setattr(cfg.initial_data, key, _parse_float(section, key, raw))
-            elif section == "run":
-                if key == "snapshot_cadence":
-                    cfg.run.snapshot_cadence = _parse_int(section, key, raw)
-                elif key == "positivity_clip":
-                    cfg.run.positivity_clip = _parse_bool(section, key, raw)
-                else:
-                    setattr(cfg.run, key, _parse_float(section, key, raw))
-            elif section == "diagnostics":
-                if key in ("p_list", "m_list"):
-                    setattr(cfg.diagnostics, key, _parse_float_list(section, key, raw))
-                else:
-                    cfg.diagnostics.f_floor = _parse_float(section, key, raw)
-            else:
-                target = targets[section]
-                if key == "enabled":
-                    target.enabled = _parse_bool(section, key, raw)
-                    continue
-                if key == "regime":
-                    target.regime = raw.strip()
-                elif key in ("N_levels", "corpus_seed", "corpus_size"):
-                    setattr(target, key, _parse_int(section, key, raw))
-                else:
-                    setattr(target, key, _parse_float(section, key, raw))
-        if section in targets and not cp.has_option(section, "enabled"):
-            targets[section].enabled = True
+            setattr(target, key, _PARSERS[types[key]](section, key, raw))
+        # any key switches an experiment on unless enabled says otherwise
+        if "enabled" in types and not cp.has_option(section, "enabled"):
+            target.enabled = True
 
     _validate_config(cfg)
     return cfg

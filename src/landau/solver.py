@@ -24,14 +24,6 @@ from .grid_field import (
     gradient_values,
 )
 
-# symmetric component index for the (axis, axis) pairs
-_IDX = {
-    (0, 0): 0, (1, 1): 1, (2, 2): 2,
-    (0, 1): 3, (1, 0): 3,
-    (0, 2): 4, (2, 0): 4,
-    (1, 2): 5, (2, 1): 5,
-}
-
 
 @dataclass(frozen=True)
 class StepControl:
@@ -57,7 +49,6 @@ class SimulationState:
     step_count: int = 0
     undershoot: float = 0.0
     clipped_mass: float = 0.0
-    stale: bool = False
 
 
 def _zero_coefficients(grid: VelocityGrid) -> CoefficientSet:
@@ -84,75 +75,6 @@ def make_state(f: ScalarField, t: float = 0.0) -> SimulationState:
         coeffs=_coefficients_for(f.grid, f.values),
         undershoot=undershoot,
     )
-
-
-@dataclass(frozen=True)
-class FaceFluxes:
-    """Fluxes on cell faces; index d array has n+1 faces along axis d.
-
-    Boundary faces are identically zero (no-flux walls).
-    """
-
-    grid: VelocityGrid
-    x: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
-
-    def component(self, d: int) -> np.ndarray:
-        return (self.x, self.y, self.z)[d]
-
-
-def _interior_faces(f, g, a6, ga, h, d):
-    lo = [slice(None)] * 3
-    hi = [slice(None)] * 3
-    lo[d] = slice(None, -1)
-    hi[d] = slice(1, None)
-    lo, hi = tuple(lo), tuple(hi)
-    add = 0.5 * (a6[_IDX[d, d]][lo] + a6[_IDX[d, d]][hi])
-    face = add * (f[hi] - f[lo]) / h
-    for e in range(3):
-        if e == d:
-            continue
-        ade = 0.5 * (a6[_IDX[d, e]][lo] + a6[_IDX[d, e]][hi])
-        face = face + ade * 0.5 * (g[e][lo] + g[e][hi])
-    return face - 0.5 * (ga[d][lo] + ga[d][hi]) * 0.5 * (f[lo] + f[hi])
-
-
-def flux(state: SimulationState) -> FaceFluxes:
-    """Reference face-flux assembly: F = A grad f - f grad a at faces.
-
-    Normal derivatives are two-point differences across the face;
-    tangential derivatives and all coefficient values are arithmetic
-    averages of the adjacent cell-centered values.
-    """
-    if state.stale:
-        raise ValueError("state coefficients are stale")
-    grid = state.f.grid
-    n, h = grid.n, grid.h
-    f = state.f.values
-    g = gradient_values(grid, f)
-    a6 = state.coeffs.A.values
-    ga = state.coeffs.grad_a.values
-    out = []
-    for d in range(3):
-        shape = [n, n, n]
-        shape[d] = n + 1
-        arr = np.zeros(shape)
-        interior = [slice(None)] * 3
-        interior[d] = slice(1, n)
-        arr[tuple(interior)] = _interior_faces(f, g, a6, ga, h, d)
-        out.append(arr)
-    return FaceFluxes(grid, out[0], out[1], out[2])
-
-
-def divergence(fluxes: FaceFluxes) -> np.ndarray:
-    """Cell divergence adjoint to the face differences."""
-    h = fluxes.grid.h
-    return (
-        (fluxes.x[1:, :, :] - fluxes.x[:-1, :, :])
-        + (fluxes.y[:, 1:, :] - fluxes.y[:, :-1, :])
-        + (fluxes.z[:, :, 1:] - fluxes.z[:, :, :-1])
-    ) / h
 
 
 def _rhs(grid: VelocityGrid, values: np.ndarray, coeffs: CoefficientSet) -> np.ndarray:
@@ -186,8 +108,6 @@ def step(
     state: SimulationState, control: StepControl, dt_limit: float | None = None
 ) -> SimulationState:
     """One Heun step; dt_limit trims the step (used to land exactly on T)."""
-    if state.stale:
-        raise ValueError("state coefficients are stale")
     grid = state.f.grid
     dt = stable_dt(state, control)
     if dt_limit is not None:

@@ -1,5 +1,6 @@
 """Config parsing, snapshot and CSV formats, the experiment driver, and the
 command-line entry points."""
+import dataclasses
 import os
 import warnings
 
@@ -11,6 +12,7 @@ from landau import diagnostics, solver
 from landau.cli_io import (
     CSV_SCHEMA_LINE,
     LCF_MAGIC,
+    ExperimentConfig,
     diagnostics_columns,
     diagnostics_row,
     main,
@@ -82,6 +84,92 @@ def test_parse_values():
     assert cfg.initial_data.seed == 7 and cfg.initial_data.modes == 2
     assert cfg.run.positivity_clip is True
     assert cfg.diagnostics.p_list == (1.5, 2.0)
+
+
+ALL_FIELDS_CFG = """\
+[grid]
+n = 32
+l = 6.5
+[initial_data]
+family = polytail
+sigma = 0.3
+separation = 1.5
+k = 11
+R = 1.25
+seed = 7
+modes = 2
+[run]
+T = 0.5
+cfl = 0.25
+dt_min = 1e-8
+dt_max = 0.01
+snapshot_cadence = 5
+positivity_clip = yes
+[diagnostics]
+p_list = 1.5, 2
+m_list = 4.5, 6
+f_floor = 1e-12
+[experiments.eps_regularity]
+enabled = on
+K = 0.02
+[experiments.ladder]
+enabled = true
+regime = subcritical
+K = 0.01
+amplitude = 0.3
+N_levels = 6
+p = 2.5
+t = 0.25
+[experiments.barrier]
+enabled = 1
+regime = subcritical
+a = 0.5
+k = 12
+n_weight = -7
+[experiments.inequalities]
+enabled = TRUE
+corpus_seed = 11
+corpus_size = 20
+"""
+
+
+def test_parse_every_field():
+    expected = {
+        "grid": {"n": 32, "l": 6.5},
+        "initial_data": {
+            "family": "polytail", "sigma": 0.3, "separation": 1.5, "k": 11.0,
+            "R": 1.25, "seed": 7, "modes": 2,
+        },
+        "run": {
+            "T": 0.5, "cfl": 0.25, "dt_min": 1e-8, "dt_max": 0.01,
+            "snapshot_cadence": 5, "positivity_clip": True,
+        },
+        "diagnostics": {"p_list": (1.5, 2.0), "m_list": (4.5, 6.0), "f_floor": 1e-12},
+        "eps_regularity": {"enabled": True, "K": 0.02},
+        "ladder": {
+            "enabled": True, "regime": "subcritical", "K": 0.01, "amplitude": 0.3,
+            "N_levels": 6, "p": 2.5, "t": 0.25,
+        },
+        "barrier": {
+            "enabled": True, "regime": "subcritical", "a": 0.5, "k": 12.0,
+            "n_weight": -7.0,
+        },
+        "inequalities": {"enabled": True, "corpus_seed": 11, "corpus_size": 20},
+    }
+    cfg = parse_config(ALL_FIELDS_CFG)
+    default = ExperimentConfig()
+    assert set(expected) == {f.name for f in dataclasses.fields(cfg)}
+    for name, values in expected.items():
+        got = dataclasses.asdict(getattr(cfg, name))
+        assert got == values
+        for key, value in values.items():
+            # every value differs from its default, so each one was parsed
+            assert getattr(getattr(default, name), key) != value
+            assert type(got[key]) is type(value)
+    with pytest.raises(ConfigError, match=r"unknown section \[experiments.grid\]"):
+        parse_config("[experiments.grid]\nn = 32\n")
+    with pytest.raises(ConfigError, match=r"unknown section \[eps_regularity\]"):
+        parse_config("[eps_regularity]\nK = 0.02\n")
 
 
 def test_parse_errors():
