@@ -44,7 +44,6 @@ from .errors import (
     LandauError,
     NumericError,
     StiffnessError,
-    exit_code_for,
 )
 from .grid_field import (
     ScalarField,

@@ -33,6 +33,7 @@ from .grid_field import (
     VectorField,
     VelocityGrid,
     gradient_values,
+    make_grid,
     weight_field,
 )
 from .inequalities import InequalityReport
@@ -231,18 +232,14 @@ def build_kernel_table(grid: VelocityGrid) -> KernelTable:
     return KernelTable(grid=grid, symbols=symbols)
 
 
-_TABLE_CACHE: dict[tuple[int, float], KernelTable] = {}
-
-
 def kernel_table_for(grid: VelocityGrid) -> KernelTable:
-    key = (grid.n, grid.l)
-    table = _TABLE_CACHE.get(key)
-    if table is None:
-        table = build_kernel_table(grid)
-        if len(_TABLE_CACHE) >= 4:
-            _TABLE_CACHE.pop(next(iter(_TABLE_CACHE)))
-        _TABLE_CACHE[key] = table
-    return table
+    """The kernel table of grid's (n, l), shared by every equal grid."""
+    return _cached_table(grid.n, grid.l)
+
+
+@lru_cache(maxsize=4)
+def _cached_table(n: int, l: float) -> KernelTable:
+    return build_kernel_table(make_grid(n, l))
 
 
 def _check_table_grid(table: KernelTable, grid: VelocityGrid) -> None:

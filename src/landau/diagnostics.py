@@ -20,7 +20,7 @@ from .grid_field import (
     weight_field,
     weighted_lp_norm,
 )
-from .inequalities import InequalityReport, lower_bound_ratio, report_from_ratios
+from .inequalities import InequalityReport, report_from_ratios
 
 
 @dataclass(frozen=True)
@@ -36,12 +36,11 @@ class DiagnosticsRecord:
     lp_norms: dict
     c0_hat: float
     sup_A: float
-    min_f_ratio: float = math.nan
     degenerate: bool = False
 
 
 def record(
-    state, p_list=(1.5,), m_list=(4.5,), f_floor: float = 1e-14, barrier=None
+    state, p_list=(1.5,), m_list=(4.5,), f_floor: float = 1e-14
 ) -> DiagnosticsRecord:
     """All tracked functionals of one state by midpoint quadrature."""
     f = state.f
@@ -74,14 +73,10 @@ def record(
     fisher_sqrt = 4.0 * vol * float(np.sum(gs[0] ** 2 + gs[1] ** 2 + gs[2] ** 2))
 
     lp = {(p, m): weighted_lp_norm(f, p, m) for p in p_list for m in m_list}
-    ratio = math.nan
-    if barrier is not None:
-        ratio = lower_bound_ratio(f, t, barrier)
     return DiagnosticsRecord(
         t=t, mass=mass, momentum=momentum, energy=energy, entropy=entropy,
         fisher=fisher, fisher_sqrt_form=fisher_sqrt, linf=float(np.max(fv)),
         lp_norms=lp, c0_hat=state.coeffs.c0_hat, sup_A=state.coeffs.sup_A,
-        min_f_ratio=ratio,
     )
 
 

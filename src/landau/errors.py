@@ -1,14 +1,16 @@
 """Error taxonomy shared across modules.
 
-The CLI maps each class to a distinct exit code so CI can assert negative
-tests: configuration problems exit 2, numerical failures exit 3, violated
-analytical hypotheses exit 4.
+Each class carries the exit code the CLI returns for it, so CI can assert
+negative tests: configuration problems exit 2, numerical failures exit 3,
+violated analytical hypotheses exit 4, any other package error exits 1.
 """
 from __future__ import annotations
 
 
 class LandauError(Exception):
     """Base class for all package errors."""
+
+    exit_code = 1
 
 
 class ConfigError(LandauError):
@@ -31,9 +33,3 @@ class HypothesisError(LandauError):
     """An analytical hypothesis required by the requested check is not met."""
 
     exit_code = 4
-
-
-def exit_code_for(exc: BaseException) -> int:
-    if isinstance(exc, (ConfigError, NumericError, HypothesisError)):
-        return exc.exit_code
-    return 1

@@ -135,6 +135,16 @@ def make_poincare_corpus(
 # inequality checks
 
 
+def _shared_weights(fields, *indices) -> tuple:
+    """<v>^m arrays, one per index m, built once on the grid all fields share."""
+    if not fields:
+        return (None,) * len(indices)
+    grid = fields[0].grid
+    if any(f.grid != grid for f in fields):
+        raise ValueError("corpus fields must share one grid")
+    return tuple(weight_field(grid, m).values for m in indices)
+
+
 def check_weighted_sobolev(
     corpus: list[ScalarField], k: float, seed: int | None = None
 ) -> InequalityReport:
@@ -147,14 +157,12 @@ def check_weighted_sobolev(
     if k < 3.0:
         raise ValueError("k must be at least 3")
     c1 = SOBOLEV_CONSTANT * (k - 3.0) * (k - 1.0) / 4.0
+    w_top, w_mid, w_grad = _shared_weights(corpus, 3.0 * k - 9.0, k - 5.0, k - 3.0)
     ratios = []
     for f in corpus:
         grid = f.grid
         vol = grid.cell_volume()
         fv = f.values
-        w_top = weight_field(grid, 3.0 * k - 9.0).values
-        w_mid = weight_field(grid, k - 5.0).values
-        w_grad = weight_field(grid, k - 3.0).values
         g = gradient_values(grid, fv)
         rhs = vol * float(np.sum(w_grad * (g[0] ** 2 + g[1] ** 2 + g[2] ** 2)))
         if rhs <= 0.0:
@@ -184,14 +192,12 @@ def check_interpolation(
     m = interpolation_weight(p, q, k)
     expo_mass = (3.0 * p - q) / (2.0 * p)
     expo_grad = 3.0 * (q - p) / (2.0 * p)
+    w_k, w_m, w_g = _shared_weights(corpus, k, m, k - 3.0)
     ratios = []
     for f in corpus:
         grid = f.grid
         vol = grid.cell_volume()
         fv = np.maximum(f.values, 0.0)
-        w_k = weight_field(grid, k).values
-        w_m = weight_field(grid, m).values
-        w_g = weight_field(grid, k - 3.0).values
         num = vol * float(np.sum(w_k * fv ** q))
         mass = vol * float(np.sum(w_m * fv ** p))
         g = gradient_values(grid, fv ** (0.5 * p))
@@ -228,14 +234,13 @@ def check_eps_poincare(
         raise ValueError("eps grid must hold at least two positive values")
     theta = 3.0 / (2.0 * q - 3.0)
 
+    w92, w32 = _shared_weights([g for g, _ in pairs], 4.5, 1.5)
     samples = []
     for g, phi in pairs:
         grid = g.grid
         vol = grid.cell_volume()
         gv = np.maximum(g.values, 0.0)
         pv = phi.values
-        w92 = weight_field(grid, 4.5).values
-        w32 = weight_field(grid, 1.5).values
         lhs = vol * float(np.sum(w92 * pv * pv * gv ** (p + 1.0)))
         grad = gradient_values(grid, pv * gv ** (0.5 * p))
         gterm = vol * float(np.sum(w32 * (grad[0] ** 2 + grad[1] ** 2 + grad[2] ** 2)))

@@ -173,7 +173,6 @@ def run(
     p_list=(1.5,),
     m_list=(4.5,),
     f_floor: float = 1e-14,
-    barrier=None,
 ) -> Trajectory:
     """Advance f_in to time T, recording diagnostics every step.
 
@@ -192,7 +191,7 @@ def run(
 
     state = make_state(f_in, 0.0)
     grid = f_in.grid
-    records = [diagnostics.record(state, p_list, m_list, f_floor, barrier)]
+    records = [diagnostics.record(state, p_list, m_list, f_floor)]
     snaps = []
     idx = 0
     take0 = snapshot_every is not None
@@ -209,7 +208,7 @@ def run(
         except NumericError as exc:
             exc.last_state = state  # state dump for post-mortem
             raise
-        records.append(diagnostics.record(state, p_list, m_list, f_floor, barrier))
+        records.append(diagnostics.record(state, p_list, m_list, f_floor))
         take = snapshot_every is not None and state.step_count % snapshot_every == 0
         while idx < len(sched) and state.t >= sched[idx] * (1.0 - 1e-12):
             take = True

@@ -211,10 +211,31 @@ def test_parse_errors():
      "experiments.barrier.n_weight must be below -3"),
     ("[experiments.inequalities]\ncorpus_size = 3\n",
      "experiments.inequalities.corpus_size must be at least 4"),
+    ("[run]\nT = 0.01\n[experiments.ladder]\nt = 5\n",
+     r"experiments.ladder.t must lie in \(0, run.T\]"),
+    ("[experiments.ladder]\nt = 0\n", r"experiments.ladder.t must lie in \(0, run.T\]"),
+    ("[experiments.ladder]\nK = -1\n", "experiments.ladder.K must be nonnegative"),
+    ("[experiments.ladder]\nregime = subcritical\nK = 0\n",
+     "experiments.ladder.K must be positive when subcritical"),
+    ("[experiments.ladder]\namplitude = 0\n",
+     "experiments.ladder.amplitude must be positive"),
+    ("[experiments.eps_regularity]\nK = -1\n",
+     "experiments.eps_regularity.K must be nonnegative"),
+    ("[experiments.barrier]\na = -1\n", "experiments.barrier.a must be positive"),
+    ("[experiments.barrier]\nk = 0\n", "experiments.barrier.k must be positive"),
+    ("[initial_data]\nseed = -1\n", "initial_data.seed must be nonnegative"),
+    ("[experiments.inequalities]\ncorpus_seed = -1\n",
+     "experiments.inequalities.corpus_seed must be nonnegative"),
 ])
 def test_validate_messages(text, message):
     with pytest.raises(ConfigError, match=message):
         parse_config(text)
+
+
+def test_validate_accepts_boundary_values():
+    cfg = parse_config("[run]\nT = 0.5\n[experiments.ladder]\nt = 0.5\nK = 0\n")
+    assert cfg.ladder.t == cfg.run.T and cfg.ladder.K == 0.0
+    assert parse_config("[experiments.eps_regularity]\nK = 0\n").eps_regularity.K == 0.0
 
 
 def test_experiments_auto_enable():
@@ -344,6 +365,8 @@ def test_convolve_check_subcommand(capsys):
     assert main(["convolve-check", "--n", "30"]) == 2
     assert "must be at most 20" in capsys.readouterr().err
     assert main(["convolve-check", "--n", "9"]) == 2
+    assert main(["convolve-check", "--n", "8", "--l", "-1"]) == 2
+    assert "--l must be positive" in capsys.readouterr().err
 
 
 def test_verify_inequalities_subcommand(tmp_path, capsys):
@@ -356,10 +379,18 @@ def test_verify_inequalities_subcommand(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert printed.startswith("inequality suite: n=16 l=8.0 size=6 seed=2026")
     assert "[PASS] cutoff_scale_invariance" in printed
+    # the verdict counts the failing checks among the four reports and the cutoff
+    n_fail = printed.count("[FAIL] ")
+    assert n_fail >= 1
+    assert printed.splitlines()[-1] == f"verdict: FAIL ({n_fail} of 5)"
+    assert (out / "summary.txt").read_text() == printed
     names = set(os.listdir(out))
-    assert "summary.txt" in names
     assert sum(1 for n in names if n.startswith("inequality_")) == 4
-    assert main(["verify-inequalities", "--n", "9"]) == 2
+    for argv, flag in ((["--n", "9"], "--n"), (["--l", "0"], "--l"),
+                       (["--size", "0"], "--size"), (["--size", "3"], "--size"),
+                       (["--seed", "-1"], "--seed")):
+        assert main(["verify-inequalities", *argv, "--out", str(out)]) == 2
+        assert f"error: {flag} must be" in capsys.readouterr().err
 
 
 def test_ladder_subcommand(tmp_path, capsys):
@@ -377,6 +408,83 @@ def test_ladder_subcommand(tmp_path, capsys):
     assert (out / "ladder.csv").exists() and not (out / "barrier.csv").exists()
 
 
+SUBCRITICAL_BARRIER_CFG = """\
+[grid]
+n = 16
+l = 8.0
+[initial_data]
+family = polytail
+k = 10.0
+[run]
+T = 0.05
+dt_max = 0.01
+snapshot_cadence = 2
+[experiments.barrier]
+regime = subcritical
+k = 10.0
+"""
+
+INEQUALITIES_RUN_CFG = """\
+[grid]
+n = 16
+l = 8.0
+[run]
+T = 0.02
+dt_max = 0.01
+[experiments.inequalities]
+corpus_size = 6
+"""
+
+
+def _run_config(tmp_path, text):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rc = main(["run", "--config", str(cfg), "--out", str(out)])
+    return rc, out, (out / "summary.txt").read_text().splitlines()
+
+
+def test_run_subcritical_barrier(tmp_path, capsys):
+    rc, out, summary = _run_config(tmp_path, SUBCRITICAL_BARRIER_CFG)
+    assert rc == 0
+    assert capsys.readouterr().out.splitlines() == summary
+    barrier = [line for line in summary if line.startswith("barrier:")]
+    assert len(barrier) == 1
+    assert barrier[0].startswith("barrier: regime=subcritical a=")
+    assert " k=10.0 eta=" in barrier[0]
+    for name in ("barrier_hypothesis", "barrier_monotone", "barrier_lower_bound"):
+        assert sum(line.startswith(f"[PASS] {name}:") for line in summary) == 1
+    assert summary[-1] == "verdict: PASS"
+    rows = (out / "barrier.csv").read_text().splitlines()
+    assert rows[:2] == [CSV_SCHEMA_LINE, "t,monitor,min_ratio"]
+    n_snapshots = sum(1 for n in os.listdir(out) if n.startswith("snapshot_"))
+    assert len(rows) == 2 + n_snapshots == 6
+    t0, monitor0, ratio0 = (float(c) for c in rows[2].split(","))
+    assert t0 == 0.0 and monitor0 == 0.0 and ratio0 >= 1.0
+
+
+def test_run_inequalities_section(tmp_path, capsys):
+    # a 6-sample corpus fails the halves gate on some reports
+    rc, out, summary = _run_config(tmp_path, INEQUALITIES_RUN_CFG)
+    assert rc == 1
+    assert capsys.readouterr().out.splitlines() == summary
+    names = [line.split("] ")[1].split(":")[0]
+             for line in summary if line.startswith("[")]
+    assert names[5:] == [
+        "inequality_weighted_sobolev_k4.5",
+        "inequality_interpolation_p1.5_q2.5_k4.5",
+        "inequality_interpolation_p1.5_q2.16667_k4.5",
+        "inequality_eps_poincare_q2_p2",
+    ]
+    n_fail = sum(line.startswith("[FAIL] ") for line in summary)
+    assert n_fail >= 1
+    assert summary[-1] == f"verdict: FAIL ({n_fail} of 9)"
+    csvs = sorted(n for n in os.listdir(out) if n.startswith("inequality_"))
+    assert csvs == sorted(f"{name}.csv" for name in names[5:])
+
+
 def test_exit_codes(tmp_path):
     def run_with(text):
         cfg = tmp_path / "bad.ini"
@@ -388,6 +496,48 @@ def test_exit_codes(tmp_path):
     assert run_with("[experiments.barrier]\nregime = subcritical\nk = 4.0\n") == 4
     assert main(["run", "--config", str(tmp_path / "missing.ini"),
                  "--out", str(tmp_path / "o")]) == 2
+
+
+def test_bad_config_exits_before_solver(tmp_path, monkeypatch, capsys):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the solver must not start")
+
+    monkeypatch.setattr(solver, "run", no_run)
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text("[run]\nT = 0.01\n[experiments.barrier]\na = -1\n")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "experiments.barrier.a must be positive" in capsys.readouterr().err
+
+
+def test_internal_value_error_is_not_a_config_error(tmp_path, monkeypatch):
+    # an internal fault propagates (exit 1 with a traceback), not exit 2
+    def broken_run(*args, **kwargs):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(solver, "run", broken_run)
+    cfg = tmp_path / "ok.ini"
+    cfg.write_text("[grid]\nn = 16\n[run]\nT = 0.01\n")
+    with pytest.raises(ValueError, match="internal fault"), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+
+
+def test_bad_input_files_exit_2(tmp_path, capsys):
+    csv = tmp_path / "text.csv"
+    csv.write_text("# schema=1\nt,linf,fisher,entropy\n0.0,one,1.0,0.0\n")
+    assert main(["plot", str(csv)]) == 2
+    assert "non-numeric csv cell" in capsys.readouterr().err
+    grid = make_grid(8, 4.0)
+    snap = tmp_path / "nan.lcf"
+    write_snapshot(str(snap), landau.ScalarField(grid, np.zeros((8, 8, 8))), 0.0)
+    blob = bytearray(snap.read_bytes())
+    blob[-8:] = np.array([np.nan]).tobytes()
+    snap.write_bytes(bytes(blob))
+    assert main(["diagnose", str(snap)]) == 2
+    assert "bad snapshot" in capsys.readouterr().err
+    binary = tmp_path / "binary.ini"
+    binary.write_bytes(b"\xff\xfe[grid]\n")
+    assert main(["run", "--config", str(binary), "--out", str(tmp_path / "o")]) == 2
 
 
 def test_ladder_csv_layout(run_dirs):

@@ -181,6 +181,16 @@ def test_table_for_other_box_rejected(grid16, route):
         route(f, landau.kernel_table_for(grid16))
 
 
+def test_equal_grids_share_one_table():
+    # the cache is keyed by (n, l), not by the grid object
+    a, b = landau.make_grid(8, 5.0), landau.make_grid(8, 5.0)
+    assert a is not b
+    table = landau.kernel_table_for(a)
+    assert landau.kernel_table_for(b) is table
+    assert (table.grid.n, table.grid.l) == (8, 5.0)
+    assert landau.kernel_table_for(landau.make_grid(8, 6.0)) is not table
+
+
 @pytest.mark.parametrize("grid_name", ["grid16", "grid32"])
 def test_streamed_matrix_matches_single_component(request, grid_name):
     grid = request.getfixturevalue(grid_name)

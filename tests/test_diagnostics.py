@@ -45,7 +45,6 @@ def test_record_equilibrium_values(mu64):
     assert rec.linf == float(mu64.values.max())
     assert rec.lp_norms[(1.5, 4.5)] == pytest.approx(LP_1_5_M_4_5_MU, rel=1e-12)
     assert not rec.degenerate
-    assert np.isnan(rec.min_f_ratio)
 
 
 def test_record_scaling(grid64, mu64):
