@@ -12,7 +12,7 @@ from .coefficients import (
     convolve_free_space,
     direct_convolve,
     kernel_table_for,
-    verify_coefficient_bounds,
+    spectral_vs_direct,
 )
 from .degiorgi import (
     IterationLadder,
@@ -21,6 +21,7 @@ from .degiorgi import (
     beta1_exponent,
     critical_eps0,
     fit_recurrence,
+    ladder_verdict,
     measure_ladder,
     predict_linf_bound,
     prop51_window,
@@ -34,9 +35,7 @@ from .diagnostics import (
     equilibrium_distance,
     level_set_energy,
     maxwellian,
-    moment_growth_check,
     record,
-    smoothing_rate_fit,
 )
 from .errors import (
     ConfigError,
@@ -65,6 +64,7 @@ from .inequalities import (
     CutoffProfile,
     InequalityReport,
     barrier_sufficient_rate,
+    barrier_verdict,
     build_cutoff,
     check_eps_poincare,
     check_interpolation,
@@ -74,7 +74,6 @@ from .inequalities import (
     make_corpus,
     make_poincare_corpus,
     minimum_principle_monitor,
-    subcritical_barrier_residual,
 )
 from .solver import (
     SimulationState,

@@ -36,7 +36,6 @@ from .grid_field import (
     make_grid,
     weight_field,
 )
-from .inequalities import InequalityReport
 
 _FOUR_PI = 4.0 * np.pi
 _EIGHT_PI = 8.0 * np.pi
@@ -302,6 +301,18 @@ def direct_convolve(
     return ScalarField(f.grid, out.reshape(n, n, n))
 
 
+def spectral_vs_direct(f: ScalarField, table: KernelTable) -> dict:
+    """Max error of the spectral convolution against the direct sum, relative
+    to the direct sum's max, per component: scalar, then the matrix six."""
+    errors = {}
+    for component in (_SCALAR_COMPONENT,) + _MATRIX_COMPONENTS:
+        spectral = convolve_free_space(f, table, component)
+        direct = direct_convolve(f, table, component)
+        scale = float(np.max(np.abs(direct.values)))
+        errors[component] = float(np.max(np.abs(spectral.values - direct.values))) / scale
+    return errors
+
+
 def compute_coefficients(f: ScalarField, table: KernelTable | None = None) -> CoefficientSet:
     """Potential a[f], its gradient and diffusion matrix A[f].
 
@@ -333,70 +344,4 @@ def compute_coefficients(f: ScalarField, table: KernelTable | None = None) -> Co
         a=ScalarField(grid, a_vals),
         grad_a=VectorField(grid, gradient_values(grid, a_vals)),
         A=SymMatrixField(grid, a6),
-    )
-
-
-def verify_coefficient_bounds(
-    f: ScalarField, coeffs: CoefficientSet | None = None
-) -> InequalityReport:
-    """Empirical ratios for the five coefficient upper bounds.
-
-    Each ratio is LHS / (RHS without its unknown constant), at fixed
-    interpolation parameters: (1) |A| vs L1^(1/3) L2^(2/3), (2) |A| vs
-    L1^(2/3) Linf^(1/3), (3) |grad a| vs L1^(1/3) Linf^(2/3), (4) |grad a|
-    vs L2^(2/3) Linf^(1/3), (5) pointwise <v>^2 (|grad a| + |grad A|) vs
-    the L4 norm with weight 10.
-    """
-    grid = f.grid
-    vol = grid.cell_volume()
-    fv = np.maximum(f.values, 0.0)
-    linf = float(np.max(fv))
-    if linf <= 0.0:
-        return InequalityReport(
-            name="coefficient_bounds",
-            corpus_size=0,
-            ratios=(),
-            max_ratio=float("nan"),
-            halves_spread=float("nan"),
-            passed=False,
-            notes="degenerate: zero field",
-        )
-    if coeffs is None:
-        coeffs = compute_coefficients(f)
-    m1 = vol * float(np.sum(fv))
-    l2 = float(np.sqrt(vol * np.sum(fv * fv)))
-    w10 = weight_field(grid, 10.0).values
-    l4_10 = float((vol * np.sum(w10 * fv ** 4)) ** 0.25)
-
-    ga = coeffs.grad_a.values
-    grad_a_mag = np.sqrt(ga[0] ** 2 + ga[1] ** 2 + ga[2] ** 2)
-    grad_a_max = float(np.max(grad_a_mag))
-
-    # Frobenius norm of grad A, off-diagonal components doubled
-    acc = np.zeros_like(fv)
-    for comp in range(6):
-        g = gradient_values(grid, coeffs.A.values[comp])
-        sq = g[0] ** 2 + g[1] ** 2 + g[2] ** 2
-        acc += sq if comp < 3 else 2.0 * sq
-    grad_a_mat = np.sqrt(acc)
-
-    w2 = grid.bracket2
-    pointwise = float(np.max(w2 * (grad_a_mag + grad_a_mat)))
-
-    ratios = (
-        coeffs.sup_A / (m1 ** (1.0 / 3.0) * l2 ** (2.0 / 3.0)),
-        coeffs.sup_A / (m1 ** (2.0 / 3.0) * linf ** (1.0 / 3.0)),
-        grad_a_max / (m1 ** (1.0 / 3.0) * linf ** (2.0 / 3.0)),
-        grad_a_max / (l2 ** (2.0 / 3.0) * linf ** (1.0 / 3.0)),
-        pointwise / l4_10,
-    )
-    finite = all(np.isfinite(r) and r > 0.0 for r in ratios)
-    return InequalityReport(
-        name="coefficient_bounds",
-        corpus_size=1,
-        ratios=ratios,
-        max_ratio=max(ratios),
-        halves_spread=0.0,
-        passed=finite,
-        notes="parameters: (q=2), (p=1), (q=inf), (p=2), (p=4, m=10)",
     )

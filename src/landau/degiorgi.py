@@ -184,16 +184,15 @@ def critical_eps0(c1: float, c2: float) -> float:
 
 
 def predict_linf_bound(
-    constants, regime: str, value: float, K: float, t: float, p: float = 2.0
+    c: float, regime: str, value: float, K: float, t: float, p: float = 2.0
 ) -> float:
-    """Closed-form pointwise bound from fitted recurrence constants.
+    """Closed-form pointwise bound from the fitted recurrence constant c.
 
     Critical: C*(K+1) + C* eps^(2/3)/t with value = eps and
-    C* = 1 + 2 max(64C, 256C^(4/3), 8C^(1/2)) (valid for eps <= 1).
+    C* = 1 + 2 max(64c, 256c^(4/3), 8c^(1/2)) (valid for eps <= 1).
     Subcritical: max of the three K-choices from the barrier algebra with
     value = E0, B = 2^(3 kappa/2).
     """
-    c = constants.c_hat if hasattr(constants, "c_hat") else float(constants)
     if c < 0.0 or value < 0.0 or not t > 0.0:
         raise ValueError("need nonnegative constants and t > 0")
     if regime == CRITICAL:
@@ -212,6 +211,67 @@ def predict_linf_bound(
             gain ** (3.0 / (2.0 * p - 3.0)) * e0 ** (2.0 / (2.0 * p - 3.0)),
         )
     raise ValueError(f"unknown regime {regime!r}")
+
+
+@dataclass(frozen=True)
+class LadderVerdict:
+    """Ladder, fit and checks of one trajectory.  ``sound`` is None without
+    a fitted constant; ``skipped`` names why a degenerate fit was skipped.
+    ``decay_ok`` checks rungs n <= 6 in the critical regime only (None
+    elsewhere) and holds vacuously, ``decay_active`` False, when E0 > eps0.
+    """
+
+    ladder: IterationLadder
+    fit: RecurrenceFit | None
+    predicted: float | None
+    tail_linf: float
+    sound: bool | None
+    eps0: float | None
+    decay_active: bool
+    worst_ratio: float
+    decay_ok: bool | None
+    skipped: str | None
+
+
+def ladder_verdict(trajectory, regime: str, *, K: float | None = None,
+                   amplitude: float | None = None, t: float | None = None,
+                   N_levels: int = 8, p: float = 2.0) -> LadderVerdict:
+    """Measure, fit and check the ladder.  None takes the default rule:
+    t = T/2, K = 0.6 sup_[t,T] f, and the amplitude max(1.05 (sup - K),
+    1e-8) when critical, K otherwise."""
+    T = trajectory.T
+    t = t if t is not None else 0.5 * T
+    tail_linf = max(r.linf for r in trajectory.records if r.t >= t)
+    K = K if K is not None else 0.6 * tail_linf
+    if amplitude is None:
+        # slightly overshoot the sup so the top rungs empty out
+        amplitude = max(1.05 * (tail_linf - K), 1e-8) if regime == CRITICAL else K
+    ladder = measure_ladder(trajectory, regime, K, amplitude, t, T, N_levels=N_levels, p=p)
+    try:
+        fit, skipped = fit_recurrence(ladder), None
+    except ValueError as exc:  # a degenerate ladder is a result, not a fault
+        fit, skipped = None, str(exc)
+    predicted = sound = eps0 = decay_ok = None
+    active, worst = False, 0.0
+    if fit is not None and fit.verdict == "fitted":
+        predicted = predict_linf_bound(fit.c_hat, regime, ladder.energies[0], K, t, p)
+        sound = tail_linf <= predicted * (1.0 + 1e-9)
+        if regime == CRITICAL:
+            eps0 = critical_eps0(fit.c_hat, fit.c_hat)
+            E, floor = ladder.energies, 10.0 * ladder.floor
+            active = E[0] <= eps0
+            # worst ratio of consecutive rungs n <= 6 above the floor
+            for n in range(min(6, len(E) - 1)):
+                if not active or E[n] <= floor:
+                    break
+                if E[n + 1] > floor:
+                    worst = max(worst, E[n + 1] / E[n])
+            decay_ok = worst <= 0.9
+    return LadderVerdict(
+        ladder=ladder, fit=fit, predicted=predicted, tail_linf=tail_linf,
+        sound=sound, eps0=eps0, decay_active=active, worst_ratio=worst,
+        decay_ok=decay_ok, skipped=skipped,
+    )
 
 
 @dataclass(frozen=True)

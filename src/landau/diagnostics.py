@@ -2,8 +2,8 @@
 
 Conserved quantities, entropy, Fisher information (both the |grad f|^2/f
 form with the {f = 0} convention and the 4|grad sqrt(f)|^2 cross-check),
-weighted norms, level-set energies over time windows, smoothing-rate fits,
-and distance to the normalized equilibrium.
+weighted norms, level-set energies over time windows, and distance to the
+normalized equilibrium.
 """
 from __future__ import annotations
 
@@ -14,13 +14,11 @@ import numpy as np
 
 from .grid_field import (
     ScalarField,
+    _weighted_lp_norms,
     gradient_values,
-    integrate,
     level_set_split,
     weight_field,
-    weighted_lp_norm,
 )
-from .inequalities import InequalityReport, report_from_ratios
 
 
 @dataclass(frozen=True)
@@ -72,7 +70,7 @@ def record(
     gs = gradient_values(grid, np.sqrt(np.maximum(fv, 0.0)))
     fisher_sqrt = 4.0 * vol * float(np.sum(gs[0] ** 2 + gs[1] ** 2 + gs[2] ** 2))
 
-    lp = {(p, m): weighted_lp_norm(f, p, m) for p in p_list for m in m_list}
+    lp = _weighted_lp_norms(f, p_list, m_list)
     return DiagnosticsRecord(
         t=t, mass=mass, momentum=momentum, energy=energy, entropy=entropy,
         fisher=fisher, fisher_sqrt_form=fisher_sqrt, linf=float(np.max(fv)),
@@ -147,40 +145,6 @@ def level_set_energy(
 def eps_regularity(trajectory, K: float, window=None) -> float:
     """The smallness quantity: level-set energy at (K, p=3/2, m=9/2)."""
     return level_set_energy(trajectory, K, 1.5, 4.5, window).e
-
-
-def smoothing_rate_fit(trajectory, p: float):
-    """(log-log slope of |f|_inf vs t, sup of t^(3/2p) |f|_inf).
-
-    The slope fit drops the first and last 5% of the time window; the sup
-    runs over every positive-time snapshot.
-    """
-    snaps = [s for s in trajectory.states if s.t > 0.0]
-    if len(snaps) < 5:
-        raise ValueError("fewer than 5 usable snapshots in (0, T]")
-    times = np.array([s.t for s in snaps])
-    linf = np.array([float(np.max(s.f.values)) for s in snaps])
-    expo = 3.0 / (2.0 * p)
-    sup_const = float(np.max(times ** expo * linf))
-    t_lo = times[0] + 0.05 * (times[-1] - times[0])
-    t_hi = times[-1] - 0.05 * (times[-1] - times[0])
-    keep = (times >= t_lo) & (times <= t_hi) & (linf > 0.0)
-    if np.count_nonzero(keep) < 2:
-        keep = linf > 0.0
-    slope = float(np.polyfit(np.log(times[keep]), np.log(linf[keep]), 1)[0])
-    return slope, sup_const
-
-
-def moment_growth_check(trajectory, k: float) -> InequalityReport:
-    """Ratio of the k-th weighted mass to (1 + t) along the trajectory."""
-    if not k > 2.0:
-        raise ValueError("k must exceed 2")
-    ratios = []
-    for s in trajectory.states:
-        wk = weight_field(s.f.grid, k)
-        moment = integrate(ScalarField(s.f.grid, wk.values * s.f.values))
-        ratios.append(moment / (1.0 + s.t))
-    return report_from_ratios(f"moment_growth_k{k:g}", ratios, None)
 
 
 def maxwellian(grid) -> ScalarField:

@@ -114,14 +114,22 @@ def integrate(field: ScalarField) -> float:
 
 def weighted_lp_norm(f: ScalarField, p: float, m: float) -> float:
     """(integral of <v>^m f^p)^(1/p); negative node values are clipped to 0."""
-    if p < 1.0:
+    return _weighted_lp_norms(f, (p,), (m,))[(p, m)]
+
+
+def _weighted_lp_norms(f: ScalarField, p_list, m_list) -> dict:
+    """weighted_lp_norm for every (p, m) pair, one <v>^m per distinct m."""
+    if any(p < 1.0 for p in p_list):
         raise ValueError("p must be at least 1")
     vals = f.values
     if np.any(vals < 0.0):
         vals = np.maximum(vals, 0.0)
-    w = weight_field(f.grid, m).values
-    total = f.grid.cell_volume() * np.sum(w * vals ** p)
-    return float(total ** (1.0 / p))
+    weights = {m: weight_field(f.grid, m).values for m in set(m_list)}
+    vol = f.grid.cell_volume()
+    return {
+        (p, m): float((vol * np.sum(weights[m] * vals ** p)) ** (1.0 / p))
+        for p in p_list for m in m_list
+    }
 
 
 def gradient_values(grid: VelocityGrid, values: np.ndarray) -> np.ndarray:

@@ -14,7 +14,6 @@ import numpy as np
 from .errors import HypothesisError
 from .grid_field import (
     ScalarField,
-    SymMatrixField,
     VelocityGrid,
     gradient_values,
     weight_field,
@@ -456,34 +455,14 @@ class BarrierParams:
         return self.a * math.exp(-self.eta_rate * t)
 
 
-def make_barrier(
-    regime: str,
-    a: float,
-    k: float,
-    *,
-    n_weight: float = -6.0,
-    m_bound: float | None = None,
-    trace_bound: float | None = None,
-    ellipticity: float | None = None,
-) -> BarrierParams:
-    eta = barrier_sufficient_rate(
-        regime,
-        k,
-        n_weight=n_weight,
-        m_bound=m_bound,
-        trace_bound=trace_bound,
-        ellipticity=ellipticity,
-    )
-    return BarrierParams(
-        a=a,
-        k=k,
-        eta_rate=eta,
-        regime=regime,
-        n_weight=n_weight,
-        m_bound=m_bound,
-        trace_bound=trace_bound,
-        ellipticity=ellipticity,
-    )
+def make_barrier(regime: str, a: float, k: float, *, n_weight: float = -6.0,
+                 **bounds) -> BarrierParams:
+    """Barrier at the sufficient rate for the coefficient bounds, given as
+    barrier_sufficient_rate takes them (m_bound, or trace_bound and
+    ellipticity)."""
+    eta = barrier_sufficient_rate(regime, k, n_weight=n_weight, **bounds)
+    return BarrierParams(a=a, k=k, eta_rate=eta, regime=regime, n_weight=n_weight,
+                         **bounds)
 
 
 @dataclass(frozen=True)
@@ -533,32 +512,51 @@ def lower_bound_ratio(f: ScalarField, t: float, params: BarrierParams) -> float:
     return float(np.min(f.values * wk) / params.level(t))
 
 
-def subcritical_barrier_residual(
-    f: ScalarField, A: SymMatrixField, params: BarrierParams, t: float
-) -> float:
-    """Max over nodes of d_t psi - A[f]:Hess psi - f psi for the barrier psi.
+@dataclass(frozen=True)
+class BarrierVerdict:
+    """Barrier, monitor and per-snapshot ratios min f <v>^k / level(t) of
+    one trajectory, with the three checks and their two tolerances."""
 
-    Nonpositive everywhere means psi is a subsolution at this state.
-    """
-    if params.regime != SUBCRITICAL:
-        raise ValueError("residual check applies to the subcritical barrier")
-    grid = f.grid
-    k = params.k
-    c = grid.coords
-    b2 = grid.bracket2
-    a6 = A.values
-    vav = (
-        c[0] * c[0] * a6[0]
-        + c[1] * c[1] * a6[1]
-        + c[2] * c[2] * a6[2]
-        + 2.0 * (c[0] * c[1] * a6[3] + c[0] * c[2] * a6[4] + c[1] * c[2] * a6[5])
+    params: BarrierParams
+    monitor: MonitorSeries
+    ratios: tuple
+    min_ratio: float
+    monotone_tol: float
+    lower_tol: float
+    hypothesis_ok: bool
+    monotone_ok: bool
+    lower_bound_ok: bool
+
+
+def barrier_verdict(trajectory, f0: ScalarField, regime: str, k: float, *,
+                    n_weight: float = -6.0, a: float | None = None) -> BarrierVerdict:
+    """Build the barrier from the records' coefficient bounds and check it:
+    the monitor starts at 0, rises by at most 1e-8 + h^2 per snapshot, and
+    the ratios stay at or above 1 - 10 h^2.  a defaults to min f0 <v>^k."""
+    records = trajectory.records
+    if a is None:
+        a = float(np.min(f0.values * f0.grid.bracket2 ** (0.5 * k)))
+    if regime == CRITICAL:
+        bounds = {"m_bound": max(
+            (r.sup_A * r.t ** (1.0 / 3.0) for r in records if r.t > 0.0),
+            default=records[-1].sup_A,
+        )}
+    else:
+        bounds = {
+            "trace_bound": 3.0 * max(r.sup_A for r in records),
+            "ellipticity": min(r.c0_hat for r in records),
+        }
+    params = make_barrier(regime, a, k, n_weight=n_weight, **bounds)
+    monitor = minimum_principle_monitor(trajectory, params, n_weight)
+    ratios = tuple(lower_bound_ratio(s.f, s.t, params) for s in trajectory.states)
+    h2 = trajectory.grid.h ** 2
+    monotone_tol = 1e-8 + h2
+    lower_tol = 1.0 - 10.0 * h2
+    min_ratio = min(ratios)
+    return BarrierVerdict(
+        params=params, monitor=monitor, ratios=ratios, min_ratio=min_ratio,
+        monotone_tol=monotone_tol, lower_tol=lower_tol,
+        hypothesis_ok=monitor.hypothesis_ok,
+        monotone_ok=monitor.max_increase <= monotone_tol,
+        lower_bound_ok=min_ratio >= lower_tol,
     )
-    tr = a6[0] + a6[1] + a6[2]
-    psi = params.level(t) * weight_field(grid, -k).values
-    normalized = (
-        -params.eta_rate
-        - k * (k + 2.0) * vav / (b2 * b2)
-        + k * tr / b2
-        - f.values
-    )
-    return float(np.max(normalized * psi))

@@ -18,18 +18,9 @@ from scipy.special import erf
 import landau
 from landau import degiorgi
 from landau.cli_io import main, run_inequality_suite
-from landau.inequalities import (
-    CRITICAL,
-    BarrierParams,
-    barrier_sufficient_rate,
-    build_cutoff,
-    lower_bound_ratio,
-    minimum_principle_monitor,
-)
+from landau.inequalities import CRITICAL, barrier_verdict, build_cutoff
 
 from conftest import record_criterion
-
-COMPONENTS = ("scalar", "xx", "yy", "zz", "xy", "xz", "yz")
 
 
 def test_criterion_01(grid16):
@@ -37,13 +28,7 @@ def test_criterion_01(grid16):
     f = landau.ScalarField(grid16, rng.random((16, 16, 16)))
     table = landau.kernel_table_for(grid16)
     t0 = time.perf_counter()
-    worst = 0.0
-    for comp in COMPONENTS:
-        spectral = landau.convolve_free_space(f, table, comp)
-        direct = landau.direct_convolve(f, table, comp)
-        scale = float(np.max(np.abs(direct.values)))
-        err = float(np.max(np.abs(spectral.values - direct.values))) / scale
-        worst = max(worst, err)
+    worst = max(landau.spectral_vs_direct(f, table).values())
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-10 and elapsed < 10.0
     record_criterion(
@@ -185,31 +170,11 @@ def test_criterion_06(run_poly48, run_poly64):
     parts = []
     for bundle in (run_poly48, run_poly64):
         data, traj = bundle
-        grid = traj.grid
-        h2 = grid.h ** 2
-        a = data.params["a_lower"]
-        recs = traj.records
-        m_bound = max(r.sup_A * r.t ** (1.0 / 3.0) for r in recs if r.t > 0.0)
-        eta = barrier_sufficient_rate(
-            CRITICAL, 10.0, n_weight=-6.0, m_bound=m_bound
-        )
-        params = BarrierParams(
-            a=a, k=10.0, eta_rate=eta, regime=CRITICAL, n_weight=-6.0,
-            m_bound=m_bound,
-        )
-        mon = minimum_principle_monitor(traj, params, -6.0)
-        min_ratio = min(
-            lower_bound_ratio(s.f, s.t, params) for s in traj.states
-        )
-        run_ok = (
-            mon.hypothesis_ok
-            and min_ratio >= 1.0 - 10.0 * h2
-            and mon.max_increase <= 1e-8 + h2
-        )
-        ok = ok and run_ok
+        v = barrier_verdict(traj, data.field, CRITICAL, 10.0)
+        ok = ok and v.hypothesis_ok and v.lower_bound_ok and v.monotone_ok
         parts.append(
-            f"n={grid.n}: min ratio {min_ratio:.6f} (tol {1.0 - 10.0 * h2:.4f}), "
-            f"monitor increase {mon.max_increase:.1e} (tol {1e-8 + h2:.1e})"
+            f"n={traj.grid.n}: min ratio {v.min_ratio:.6f} (tol {v.lower_tol:.4f}), "
+            f"monitor increase {v.monitor.max_increase:.1e} (tol {v.monotone_tol:.1e})"
         )
     record_criterion(6, ok, "polytail k=10 barrier: " + "; ".join(parts))
     assert ok
@@ -230,36 +195,6 @@ def test_criterion_07(run_poly48, run_poly64):
     assert ok
 
 
-def _ladder_verdict(traj):
-    """CLI-default ladder recipe: soundness flag and worst rung ratio."""
-    recs = traj.records
-    t_mid = 0.5 * traj.T
-    tail_linf = max(r.linf for r in recs if r.t >= t_mid)
-    K = 0.6 * tail_linf
-    amplitude = max(1.05 * (tail_linf - K), 1e-8)
-    ladder = degiorgi.measure_ladder(
-        traj, CRITICAL, K, amplitude, t_mid, traj.T
-    )
-    fit = degiorgi.fit_recurrence(ladder)
-    predicted = degiorgi.predict_linf_bound(
-        fit, CRITICAL, ladder.energies[0], K, t_mid
-    )
-    eps0 = degiorgi.critical_eps0(fit.c_hat, fit.c_hat)
-    sound = tail_linf <= predicted * (1.0 + 1e-9)
-    E = ladder.energies
-    floor = 10.0 * ladder.floor
-    active = E[0] <= eps0
-    worst = 0.0
-    if active:
-        for n in range(min(6, len(E) - 1)):
-            if E[n] <= floor:
-                break
-            if E[n + 1] <= floor:
-                continue
-            worst = max(worst, E[n + 1] / E[n])
-    return sound, active, worst
-
-
 def test_criterion_08(run_bimax32, run_bimax48, run_bimax64, run_cons64,
                       run_narrow48, run_narrow64, run_poly48, run_poly64,
                       run_mixtures):
@@ -270,11 +205,11 @@ def test_criterion_08(run_bimax32, run_bimax48, run_bimax64, run_cons64,
     worst_ratio = 0.0
     decay_ok = True
     for bundle in runs:
-        sound, active, worst = _ladder_verdict(bundle.traj)
-        sound_count += bool(sound)
-        if active:
-            worst_ratio = max(worst_ratio, worst)
-            decay_ok = decay_ok and worst <= 0.9
+        v = degiorgi.ladder_verdict(bundle.traj, CRITICAL)
+        sound_count += bool(v.sound)
+        if v.decay_active:
+            worst_ratio = max(worst_ratio, v.worst_ratio)
+            decay_ok = decay_ok and v.decay_ok
     ok = sound_count == len(runs) and decay_ok
     record_criterion(
         8, ok,

@@ -22,8 +22,10 @@ from landau.cli_io import (
     read_snapshot,
     write_snapshot,
 )
+from landau.degiorgi import ladder_verdict
 from landau.errors import ConfigError, HypothesisError
 from landau.grid_field import make_grid
+from landau.inequalities import barrier_verdict
 
 RUN_CFG = """\
 [grid]
@@ -485,6 +487,40 @@ def test_run_inequalities_section(tmp_path, capsys):
     assert csvs == sorted(f"{name}.csv" for name in names[5:])
 
 
+def test_summary_checks_are_the_library_verdicts(tmp_path, monkeypatch):
+    # the ladder_* and barrier_* lines of a run are the flags that
+    # ladder_verdict and barrier_verdict give on the same trajectory
+    seen = {}
+    real_run = solver.run
+
+    def recording_run(f_in, *args, **kwargs):
+        seen["f0"], seen["traj"] = f_in, real_run(f_in, *args, **kwargs)
+        return seen["traj"]
+
+    monkeypatch.setattr(solver, "run", recording_run)
+    _, _, summary = _run_config(tmp_path, RUN_CFG)
+    cfg = parse_config(RUN_CFG)
+    lc, bc = cfg.ladder, cfg.barrier
+    lad = ladder_verdict(seen["traj"], lc.regime, K=lc.K, amplitude=lc.amplitude,
+                         t=lc.t, N_levels=lc.N_levels, p=lc.p)
+    bar = barrier_verdict(seen["traj"], seen["f0"], bc.regime, bc.k,
+                          n_weight=bc.n_weight, a=bc.a)
+    flags = {
+        "ladder_soundness": lad.sound,
+        "ladder_decay": lad.decay_ok,
+        "barrier_hypothesis": bar.hypothesis_ok,
+        "barrier_monotone": bar.monotone_ok,
+        "barrier_lower_bound": bar.lower_bound_ok,
+    }
+    printed = {}
+    for line in summary:
+        if line.startswith(("[PASS] ", "[FAIL] ")):
+            name = line[7:].split(":")[0]
+            if name.startswith(("ladder_", "barrier_")):
+                printed[name] = line.startswith("[PASS]")
+    assert printed == flags
+
+
 def test_exit_codes(tmp_path):
     def run_with(text):
         cfg = tmp_path / "bad.ini"
@@ -566,8 +602,7 @@ def test_polytail_params(grid16):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         init = make_initial_data(cfg, grid16)
-    wk = grid16.bracket2 ** 5.0
-    assert init.params["a_lower"] == float(np.min(init.field.values * wk))
+    assert init.params["k"] == 10.0
     bad = parse_config("[initial_data]\nfamily = polytail\nk = 9\n")
     with pytest.raises(HypothesisError, match="polytail requires k > 9"):
         make_initial_data(bad, grid16)

@@ -230,14 +230,6 @@ def test_ellipticity_range_matches_eager_formula(grid16):
     assert c.sup_A == float(np.max(lmax))
 
 
-def test_verify_coefficient_bounds(grid16):
-    mu = landau.maxwellian(grid16)
-    rep = landau.verify_coefficient_bounds(mu)
-    assert rep.passed
-    assert np.isfinite(rep.max_ratio)
-    assert len(rep.ratios) == 5
-
-
 def _padded_kernels(table):
     """Real-space kernels, scalar first, with the offset-n planes zeroed."""
     n = table.grid.n

@@ -1,7 +1,6 @@
 """Iteration ladders, recurrence fits, closed-form bound predictions, and
 the bulk propagation monitor."""
 import math
-import types
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +15,7 @@ from landau.degiorgi import (
     critical_bracket,
     critical_eps0,
     fit_recurrence,
+    ladder_verdict,
     measure_ladder,
     predict_linf_bound,
     prop51_window,
@@ -23,14 +23,15 @@ from landau.degiorgi import (
     subcritical_bracket,
 )
 from landau.inequalities import CRITICAL, SUBCRITICAL
-from landau.solver import Snapshot, StepControl, Trajectory
+from landau.solver import Snapshot, StepControl, Trajectory, make_state
 
 
 @pytest.fixture(scope="module")
 def mu_traj16(grid16):
     mu = landau.maxwellian(grid16)
     snaps = tuple(Snapshot(mu, 0.5 * i, i) for i in range(3))
-    return Trajectory(grid16, snaps, (), StepControl(), 1.0)
+    records = tuple(diagnostics.record(make_state(mu, s.t)) for s in snaps)
+    return Trajectory(grid16, snaps, records, StepControl(), 1.0)
 
 
 def test_measure_ladder_validation(mu_traj16):
@@ -137,6 +138,51 @@ def test_fit_recurrence_on_measured_ladder(mu_traj16):
     assert fit.c_hat > 0 and all(np.isfinite(fit.ratios))
 
 
+def test_ladder_verdict_default_rule(mu_traj16):
+    # t = T/2, K = 0.6 sup, amplitude 1.05 (sup - K); the fit is sound and
+    # E0 sits below eps0, so the rung decay is checked
+    v = ladder_verdict(mu_traj16, CRITICAL)
+    sup = float(mu_traj16.states[0].f.values.max())
+    lad = v.ladder
+    assert v.tail_linf == sup and lad.t == 0.5
+    assert lad.K == 0.6 * sup and lad.amplitude == 1.05 * (sup - lad.K)
+    assert v.skipped is None and v.fit.verdict == "fitted"
+    assert v.predicted == predict_linf_bound(v.fit.c_hat, CRITICAL, lad.energies[0],
+                                             lad.K, 0.5)
+    assert v.sound is True and sup <= v.predicted
+    assert v.eps0 == critical_eps0(v.fit.c_hat, v.fit.c_hat)
+    assert lad.energies[0] <= v.eps0 and v.decay_active
+    assert v.decay_ok is True and 0.0 < v.worst_ratio <= 0.9
+    # subcritical: amplitude defaults to K and no decay check is made
+    sub = ladder_verdict(mu_traj16, SUBCRITICAL, K=0.01)
+    assert sub.ladder.amplitude == 0.01 and sub.fit.verdict == "fitted"
+    assert sub.sound is True and sub.decay_ok is None and sub.eps0 is None
+
+
+def test_ladder_verdict_decay_vacuous_above_eps0(mu_traj16):
+    v = ladder_verdict(mu_traj16, CRITICAL, K=0.005, amplitude=0.03)
+    assert v.fit.verdict == "fitted" and v.sound is True
+    assert v.ladder.energies[0] > v.eps0
+    assert not v.decay_active and v.worst_ratio == 0.0 and v.decay_ok is True
+
+
+def test_ladder_verdict_degenerate_fit_skipped(mu_traj16):
+    # every threshold past the first rung exceeds max f
+    v = ladder_verdict(mu_traj16, CRITICAL, K=0.04, amplitude=0.02)
+    assert v.fit is None
+    assert v.skipped.startswith("degenerate ladder: need at least 4 levels")
+    assert v.sound is None and v.predicted is None
+    assert v.decay_ok is None and not v.decay_active
+
+
+def test_ladder_verdict_all_levels_empty(mu_traj16):
+    v = ladder_verdict(mu_traj16, CRITICAL, K=1.0)
+    assert v.skipped is None and v.fit.verdict == "vacuous"
+    assert max(v.ladder.energies) == 0.0
+    assert v.sound is None and v.predicted is None
+    assert v.decay_ok is None and not v.decay_active
+
+
 def test_critical_bracket_exact_rational():
     # sqrt(1/16) and 16^(3/4) are exact, so the whole bracket is rational
     K, eta, t, e0 = Fraction(3, 2), Fraction(16), Fraction(1, 2), Fraction(1, 16)
@@ -169,8 +215,6 @@ def test_critical_eps0():
 def test_predict_linf_bound_critical():
     # c = 1: C* = 1 + 2 max(64, 256, 8) = 513; eps = 0 leaves C*(K+1)
     assert predict_linf_bound(1.0, CRITICAL, 0.0, 2.0, 1.0) == 513.0 * 3.0
-    fit = types.SimpleNamespace(c_hat=1.0)
-    assert predict_linf_bound(fit, CRITICAL, 0.0, 2.0, 1.0) == 513.0 * 3.0
     eps, t = 1e-6, 0.5
     want = 513.0 * 3.0 + 513.0 * eps ** (2.0 / 3.0) / t
     assert predict_linf_bound(1.0, CRITICAL, eps, 2.0, t) == pytest.approx(want, rel=1e-15)

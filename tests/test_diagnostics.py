@@ -128,33 +128,6 @@ def test_eps_regularity_is_level_set_e(mu_traj):
     assert eps == win.e
 
 
-def test_smoothing_rate_fit_needs_snapshots(mu_traj):
-    with pytest.raises(ValueError, match="fewer than 5 usable snapshots"):
-        landau.smoothing_rate_fit(mu_traj, 2.0)
-
-
-def test_smoothing_rate_fit_constant_history(grid16):
-    mu = landau.maxwellian(grid16)
-    snaps = tuple(Snapshot(mu, 0.1 * (i + 1), i) for i in range(8))
-    traj = Trajectory(grid16, snaps, (), StepControl(), 0.8)
-    slope, sup_const = landau.smoothing_rate_fit(traj, 2.0)
-    # constant sup norm: slope 0, envelope attained at the last time
-    assert slope == pytest.approx(0.0, abs=1e-12)
-    m = float(mu.values.max())
-    assert sup_const == pytest.approx(0.8 ** 0.75 * m, rel=1e-12)
-
-
-def test_moment_growth_check(mu_traj):
-    rep = landau.moment_growth_check(mu_traj, 4.0)
-    assert rep.passed
-    assert rep.name == "moment_growth_k4"
-    # constant moment divided by 1 + t is maximal at t = 0
-    assert rep.max_ratio == pytest.approx(rep.ratios[0])
-    assert rep.ratios[2] == pytest.approx(rep.ratios[0] / 2.0, rel=1e-12)
-    with pytest.raises(ValueError, match="k must exceed 2"):
-        landau.moment_growth_check(mu_traj, 2.0)
-
-
 def test_bulk_quantities_vacuous_threshold(grid16):
     mu = landau.maxwellian(grid16)
     snap = Snapshot(mu, 0.0, 0)

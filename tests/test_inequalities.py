@@ -11,9 +11,8 @@ from landau.inequalities import (
     SUBCRITICAL,
     critical_weight_constant,
     report_from_ratios,
-    subcritical_barrier_residual,
 )
-from landau.solver import Snapshot, StepControl, Trajectory, make_state
+from landau.solver import Snapshot, StepControl, Trajectory
 
 
 def test_cutoff_shape():
@@ -149,23 +148,6 @@ def test_lower_bound_ratio_exact_barrier(grid16):
     # the barrier decays while f stays put, so the ratio grows
     r1 = landau.lower_bound_ratio(f, 1.0, params)
     assert r1 == pytest.approx(math.exp(params.eta_rate), rel=1e-12)
-
-
-def test_subcritical_residual_nonpositive(grid16):
-    # eta from the fitted coefficient bounds makes the barrier a subsolution
-    mu = landau.maxwellian(grid16)
-    state = make_state(mu)
-    tb = 3.0 * state.coeffs.sup_A
-    el = state.coeffs.c0_hat
-    params = landau.make_barrier(
-        SUBCRITICAL, 1e-4, 10.0, trace_bound=tb, ellipticity=el
-    )
-    for t in (0.0, 0.3, 1.0):
-        res = subcritical_barrier_residual(mu, state.coeffs.A, params, t)
-        assert res <= 0.0
-    wrong = landau.make_barrier(CRITICAL, 1e-4, 10.0, m_bound=0.02)
-    with pytest.raises(ValueError, match="subcritical barrier"):
-        subcritical_barrier_residual(mu, state.coeffs.A, wrong, 0.0)
 
 
 def test_make_corpus_properties(grid16):
