@@ -18,7 +18,6 @@ from .degiorgi import (
     IterationLadder,
     OdeMonitor,
     RecurrenceFit,
-    beta1_exponent,
     critical_eps0,
     fit_recurrence,
     ladder_verdict,
@@ -69,8 +68,6 @@ from .inequalities import (
     check_eps_poincare,
     check_interpolation,
     check_weighted_sobolev,
-    lower_bound_ratio,
-    make_barrier,
     make_corpus,
     make_poincare_corpus,
     minimum_principle_monitor,

@@ -38,7 +38,7 @@ from .inequalities import (
     make_poincare_corpus,
 )
 
-_FAMILIES = ("maxwellian", "bimaxwellian", "narrow_gaussian", "polytail", "mixture")
+_FAMILIES = ("maxwellian", "bimaxwellian", "polytail", "mixture")
 
 LCF_MAGIC = b"LCF1"
 _LCF_HEADER = struct.Struct("<4sIdd")
@@ -59,10 +59,8 @@ class GridConfig:
 @dataclass
 class InitialDataConfig:
     family: str = "maxwellian"
-    sigma: float | None = None
     separation: float = 1.2
     k: float = 10.0
-    R: float = 1.0
     seed: int = 2026
     modes: int = 3
 
@@ -250,17 +248,11 @@ class InitialData:
     params: dict
 
 
-def _family_profile(idc: InitialDataConfig, grid: VelocityGrid):
+def _family_profile(idc: InitialDataConfig):
     """Profile evaluator u -> values; u already shifted and dilated."""
     family = idc.family
     if family == "maxwellian":
         return lambda u: np.exp(-0.5 * (u[0] ** 2 + u[1] ** 2 + u[2] ** 2))
-    if family == "narrow_gaussian":
-        sigma = idc.sigma if idc.sigma is not None else 4.0 * grid.h
-        if not sigma > 0.0:
-            raise ConfigError("initial_data.sigma must be positive")
-        inv = 0.5 / sigma ** 2
-        return lambda u: np.exp(-inv * (u[0] ** 2 + u[1] ** 2 + u[2] ** 2))
     if family == "bimaxwellian":
         sep = idc.separation
 
@@ -275,12 +267,8 @@ def _family_profile(idc: InitialDataConfig, grid: VelocityGrid):
     if family == "polytail":
         if idc.k <= 9.0:
             raise HypothesisError("hypothesis: polytail requires k > 9")
-        if not idc.R > 0.0:
-            raise ConfigError("initial_data.R must be positive")
-        k, R = idc.k, idc.R
-        return lambda u: 1.0 / (
-            1.0 + (np.sqrt(u[0] ** 2 + u[1] ** 2 + u[2] ** 2) / R) ** k
-        )
+        k = idc.k
+        return lambda u: 1.0 / (1.0 + np.sqrt(u[0] ** 2 + u[1] ** 2 + u[2] ** 2) ** k)
     # mixture: seeded gaussian bumps with random centers and widths
     rng = np.random.default_rng(idc.seed)
     centers = np.clip(rng.normal(0.0, 1.0, size=(idc.modes, 3)), -2.0, 2.0)
@@ -305,7 +293,7 @@ def make_initial_data(config: ExperimentConfig, grid: VelocityGrid) -> InitialDa
     updates; residuals of the final iterate are reported.
     """
     idc = config.initial_data
-    profile = _family_profile(idc, grid)
+    profile = _family_profile(idc)
     coords = grid.coords
     vol = grid.cell_volume()
     center = np.zeros(3)
@@ -724,7 +712,7 @@ def _ladder_section(lc: LadderConfig, traj, outdir: str):
 def _barrier_section(bc: BarrierConfig, init: InitialData, traj, outdir: str):
     v = barrier_verdict(traj, init.field, bc.regime, bc.k, n_weight=bc.n_weight, a=bc.a)
     rows = [f"{_fmt(s.t)},{_fmt(m)},{_fmt(r)}"
-            for s, m, r in zip(traj.states, v.monitor.values, v.ratios)]
+            for s, m, r in zip(traj.states, v.monitor.values, v.monitor.ratios)]
     _write_lines(os.path.join(outdir, "barrier.csv"),
                  [CSV_SCHEMA_LINE, "t,monitor,min_ratio"] + rows)
     checks = [

@@ -323,24 +323,11 @@ def propagation_ode_monitor(trajectory, K: float, m: float = 4.5) -> OdeMonitor:
     )
 
 
-def beta1_exponent(m: float) -> float:
-    """Forcing exponent of the bulk equation: (3-2q)/(q-1) with
-    q = min(4/3, m/(m-2)).  Equals 1 at m = 9/2 and never drops below 1."""
-    if not m > 2.0:
-        raise ValueError("m must exceed 2")
-    q = min(4.0 / 3.0, m / (m - 2.0))
-    beta1 = (3.0 - 2.0 * q) / (q - 1.0)
-    if beta1 < 1.0:
-        raise ValueError(f"beta1 dropped below 1 at m={m:g}")
-    return beta1
-
-
-def prop51_window(delta: float, c1: float, beta1: float = 1.0) -> float:
+def prop51_window(delta: float, c1: float) -> float:
     """Time horizon over which initial smallness delta propagates:
-    min(1, delta / (C1 (1 + 2 delta + (2 delta)^max(beta1, 7/3))))."""
+    min(1, delta / (C1 (1 + 2 delta + (2 delta)^(7/3))))."""
     if not delta > 0.0:
         raise ValueError("delta must be positive")
     if not c1 > 0.0:
         raise ValueError("c1 must be positive")
-    expo = max(beta1, 7.0 / 3.0)
-    return min(1.0, delta / (c1 * (1.0 + 2.0 * delta + (2.0 * delta) ** expo)))
+    return min(1.0, delta / (c1 * (1.0 + 2.0 * delta + (2.0 * delta) ** (7.0 / 3.0))))

@@ -16,7 +16,6 @@ from .grid_field import (
     ScalarField,
     _weighted_lp_norms,
     gradient_values,
-    level_set_split,
     weight_field,
 )
 
@@ -91,14 +90,12 @@ class LevelSetWindow:
     n_snapshots: int
 
 
-def _excess_integrals(snap, level: float, p: float, wm, wg):
-    """Weighted p-mass of the excess over level (weight wm) and its
-    gradient term (weight wg) for one snapshot."""
-    grid = snap.f.grid
+def _excess_integrals(grid, values, p: float, wm, wg):
+    """Weighted p-mass of a nonnegative array (weight wm) and the gradient
+    term of its p/2 power (weight wg)."""
     vol = grid.cell_volume()
-    excess = np.maximum(snap.f.values - level, 0.0)
-    a_val = vol * float(np.sum(wm * excess ** p))
-    ge = gradient_values(grid, excess ** (0.5 * p))
+    a_val = vol * float(np.sum(wm * values ** p))
+    ge = gradient_values(grid, values ** (0.5 * p))
     b_val = vol * float(np.sum(wg * (ge[0] ** 2 + ge[1] ** 2 + ge[2] ** 2)))
     return a_val, b_val
 
@@ -126,7 +123,8 @@ def level_set_energy(
     b_vals = []
     times = []
     for s in snaps:
-        a_val, b_val = _excess_integrals(s, level, p, wm, wg)
+        excess = np.maximum(s.f.values - level, 0.0)
+        a_val, b_val = _excess_integrals(grid, excess, p, wm, wg)
         a_vals.append(a_val)
         b_vals.append(b_val)
         times.append(s.t)
@@ -184,18 +182,13 @@ def equilibrium_distance(state, m: float = 4.5):
 def bulk_quantities(snap, K: float, m: float = 4.5):
     """(y, F, z, G) for one snapshot: excess and capped-bulk weighted
     3/2-masses and their gradient terms, at threshold K and cap 2K."""
+    if K < 0.0:
+        raise ValueError("level must be nonnegative")
     grid = snap.f.grid
-    vol = grid.cell_volume()
-    excess, _ = level_set_split(snap.f, K)
-    _, bulk2 = level_set_split(snap.f, 2.0 * K)
+    fv = snap.f.values
     wm = weight_field(grid, m).values
     wg = weight_field(grid, m - 3.0).values
-    ev = excess.values
-    bv = np.maximum(bulk2.values, 0.0)
-    y = vol * float(np.sum(wm * ev ** 1.5))
-    ge = gradient_values(grid, ev ** 0.75)
-    f_term = vol * float(np.sum(wg * (ge[0] ** 2 + ge[1] ** 2 + ge[2] ** 2)))
-    z = vol * float(np.sum(wm * bv ** 1.5))
-    gb = gradient_values(grid, bv ** 0.75)
-    g_term = vol * float(np.sum(wg * (gb[0] ** 2 + gb[1] ** 2 + gb[2] ** 2)))
+    y, f_term = _excess_integrals(grid, np.maximum(fv - K, 0.0), 1.5, wm, wg)
+    z, g_term = _excess_integrals(grid, np.maximum(np.minimum(fv, 2.0 * K), 0.0),
+                                  1.5, wm, wg)
     return y, f_term, z, g_term

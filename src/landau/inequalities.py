@@ -420,10 +420,6 @@ class BarrierParams:
     k: float
     eta_rate: float
     regime: str
-    n_weight: float = -6.0
-    m_bound: float | None = None
-    trace_bound: float | None = None
-    ellipticity: float | None = None
 
     def __post_init__(self) -> None:
         if not self.a > 0.0:
@@ -432,22 +428,6 @@ class BarrierParams:
             raise ValueError("barrier exponent k must be positive")
         if self.regime not in (CRITICAL, SUBCRITICAL):
             raise ValueError(f"unknown regime {self.regime!r}")
-        has_bounds = (
-            self.m_bound is not None
-            if self.regime == CRITICAL
-            else self.trace_bound is not None and self.ellipticity is not None
-        )
-        if has_bounds:
-            needed = barrier_sufficient_rate(
-                self.regime,
-                self.k,
-                n_weight=self.n_weight,
-                m_bound=self.m_bound,
-                trace_bound=self.trace_bound,
-                ellipticity=self.ellipticity,
-            )
-            if self.eta_rate < needed * (1.0 - 1e-12):
-                raise ValueError("eta_rate below the sufficient value for the bounds")
 
     def level(self, t: float) -> float:
         if self.regime == CRITICAL:
@@ -455,20 +435,10 @@ class BarrierParams:
         return self.a * math.exp(-self.eta_rate * t)
 
 
-def make_barrier(regime: str, a: float, k: float, *, n_weight: float = -6.0,
-                 **bounds) -> BarrierParams:
-    """Barrier at the sufficient rate for the coefficient bounds, given as
-    barrier_sufficient_rate takes them (m_bound, or trace_bound and
-    ellipticity)."""
-    eta = barrier_sufficient_rate(regime, k, n_weight=n_weight, **bounds)
-    return BarrierParams(a=a, k=k, eta_rate=eta, regime=regime, n_weight=n_weight,
-                         **bounds)
-
-
 @dataclass(frozen=True)
 class MonitorSeries:
-    times: np.ndarray
     values: np.ndarray
+    ratios: np.ndarray
     hypothesis_ok: bool
     max_increase: float
 
@@ -480,7 +450,8 @@ def minimum_principle_monitor(
 
     Tracks int <v>^n (level(t) - f <v>^k)_+^(3/2) per snapshot; for data
     that starts above the barrier it should be identically zero at t = 0
-    and nonincreasing afterwards.
+    and nonincreasing afterwards.  Also gives the lower-bound ratio
+    min f <v>^k / level(t) per snapshot.
     """
     if n_weight >= -3.0:
         raise ValueError("n_weight must be below -3")
@@ -491,35 +462,30 @@ def minimum_principle_monitor(
     vol = grid.cell_volume()
     wn = weight_field(grid, n_weight).values
     wk = weight_field(grid, params.k).values
-    times = np.array([s.t for s in states])
-    values = np.empty_like(times)
+    values = np.empty(len(states))
+    ratios = np.empty(len(states))
     for i, snap in enumerate(states):
-        excess = np.maximum(params.level(snap.t) - snap.f.values * wk, 0.0)
-        values[i] = vol * np.sum(wn * excess ** 1.5)
+        level = params.level(snap.t)
+        fk = snap.f.values * wk
+        values[i] = vol * np.sum(wn * np.maximum(level - fk, 0.0) ** 1.5)
+        ratios[i] = np.min(fk) / level
     increases = np.diff(values)
     max_increase = float(np.max(increases)) if increases.size else 0.0
     return MonitorSeries(
-        times=times,
         values=values,
+        ratios=ratios,
         hypothesis_ok=bool(values[0] == 0.0),
         max_increase=max_increase,
     )
 
 
-def lower_bound_ratio(f: ScalarField, t: float, params: BarrierParams) -> float:
-    """min over nodes of f <v>^k / barrier level at time t."""
-    wk = weight_field(f.grid, params.k).values
-    return float(np.min(f.values * wk) / params.level(t))
-
-
 @dataclass(frozen=True)
 class BarrierVerdict:
-    """Barrier, monitor and per-snapshot ratios min f <v>^k / level(t) of
-    one trajectory, with the three checks and their two tolerances."""
+    """Barrier and monitor of one trajectory, with the three checks and
+    their two tolerances."""
 
     params: BarrierParams
     monitor: MonitorSeries
-    ratios: tuple
     min_ratio: float
     monotone_tol: float
     lower_tol: float
@@ -546,15 +512,15 @@ def barrier_verdict(trajectory, f0: ScalarField, regime: str, k: float, *,
             "trace_bound": 3.0 * max(r.sup_A for r in records),
             "ellipticity": min(r.c0_hat for r in records),
         }
-    params = make_barrier(regime, a, k, n_weight=n_weight, **bounds)
+    eta = barrier_sufficient_rate(regime, k, n_weight=n_weight, **bounds)
+    params = BarrierParams(a=a, k=k, eta_rate=eta, regime=regime)
     monitor = minimum_principle_monitor(trajectory, params, n_weight)
-    ratios = tuple(lower_bound_ratio(s.f, s.t, params) for s in trajectory.states)
     h2 = trajectory.grid.h ** 2
     monotone_tol = 1e-8 + h2
     lower_tol = 1.0 - 10.0 * h2
-    min_ratio = min(ratios)
+    min_ratio = float(np.min(monitor.ratios))
     return BarrierVerdict(
-        params=params, monitor=monitor, ratios=ratios, min_ratio=min_ratio,
+        params=params, monitor=monitor, min_ratio=min_ratio,
         monotone_tol=monotone_tol, lower_tol=lower_tol,
         hypothesis_ok=monitor.hypothesis_ok,
         monotone_ok=monitor.max_increase <= monotone_tol,

@@ -157,18 +157,13 @@ class Trajectory:
     grid: VelocityGrid
     states: tuple
     records: tuple
-    control: StepControl
     T: float
-
-    def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.states])
 
 
 def run(
     f_in: ScalarField,
     T: float,
     control: StepControl | None = None,
-    schedule=(),
     snapshot_every: int | None = None,
     p_list=(1.5,),
     m_list=(4.5,),
@@ -176,29 +171,20 @@ def run(
 ) -> Trajectory:
     """Advance f_in to time T, recording diagnostics every step.
 
-    Snapshots are kept at the scheduled times (first step at or past each,
-    no interpolation), every ``snapshot_every`` steps when given, and
-    always at the endpoint.  An empty schedule keeps the endpoint only.
+    Snapshots are kept every ``snapshot_every`` steps from t = 0 when
+    given, and always at the endpoint.
     """
     if not T > 0.0:
         raise ValueError("T must be positive")
     if float(np.min(f_in.values)) < -1e-12 * max(1.0, float(np.max(f_in.values))):
         raise ValueError("initial data must be nonnegative")
     control = control or StepControl()
-    sched = sorted(set(float(s) for s in schedule))
-    if sched and (sched[0] < 0.0 or sched[-1] > T * (1.0 + 1e-12)):
-        raise ValueError("schedule times must lie in [0, T]")
 
     state = make_state(f_in, 0.0)
     grid = f_in.grid
     records = [diagnostics.record(state, p_list, m_list, f_floor)]
     snaps = []
-    idx = 0
-    take0 = snapshot_every is not None
-    while idx < len(sched) and sched[idx] <= 0.0:
-        take0 = True
-        idx += 1
-    if take0:
+    if snapshot_every is not None:
         snaps.append(Snapshot(state.f, state.t, 0))
 
     t_end = T * (1.0 - 1e-12)
@@ -209,13 +195,9 @@ def run(
             exc.last_state = state  # state dump for post-mortem
             raise
         records.append(diagnostics.record(state, p_list, m_list, f_floor))
-        take = snapshot_every is not None and state.step_count % snapshot_every == 0
-        while idx < len(sched) and state.t >= sched[idx] * (1.0 - 1e-12):
-            take = True
-            idx += 1
-        if take:
+        if snapshot_every is not None and state.step_count % snapshot_every == 0:
             snaps.append(Snapshot(state.f, state.t, state.step_count))
 
     if not snaps or snaps[-1].step_count != state.step_count:
         snaps.append(Snapshot(state.f, state.t, state.step_count))
-    return Trajectory(grid, tuple(snaps), tuple(records), control, float(T))
+    return Trajectory(grid, tuple(snaps), tuple(records), float(T))

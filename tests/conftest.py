@@ -108,13 +108,14 @@ def run_cons64():
 
 
 @pytest.fixture(scope="session")
-def run_narrow48():
-    return build_run("narrow_gaussian", 48, 8.0, 1.0, 0.02, 10)
+def run_mu48():
+    # the normalized equilibrium: a fixed point of the flow
+    return build_run("maxwellian", 48, 8.0, 1.0, 0.02, 10)
 
 
 @pytest.fixture(scope="session")
-def run_narrow64():
-    return build_run("narrow_gaussian", 64, 8.0, 1.0, 0.02, 10)
+def run_mu64():
+    return build_run("maxwellian", 64, 8.0, 1.0, 0.02, 10)
 
 
 @pytest.fixture(scope="session")

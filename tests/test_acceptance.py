@@ -142,9 +142,9 @@ def test_criterion_04(run_bimax32, run_bimax48, run_bimax64):
     assert ok
 
 
-def test_criterion_05(run_narrow48, run_narrow64):
+def test_criterion_05(run_mu48, run_mu64):
     sups, slopes = {}, {}
-    for n, bundle in ((48, run_narrow48), (64, run_narrow64)):
+    for n, bundle in ((48, run_mu48), (64, run_mu64)):
         recs = [r for r in bundle.traj.records if 0.2 <= r.t <= 1.0]
         sups[n] = max(r.t * r.linf for r in recs)
         logt = np.log([r.t for r in recs])
@@ -196,10 +196,10 @@ def test_criterion_07(run_poly48, run_poly64):
 
 
 def test_criterion_08(run_bimax32, run_bimax48, run_bimax64, run_cons64,
-                      run_narrow48, run_narrow64, run_poly48, run_poly64,
+                      run_mu48, run_mu64, run_poly48, run_poly64,
                       run_mixtures):
-    runs = [run_bimax32, run_bimax48, run_bimax64, run_cons64, run_narrow48,
-            run_narrow64, run_poly48, run_poly64]
+    runs = [run_bimax32, run_bimax48, run_bimax64, run_cons64, run_mu48,
+            run_mu64, run_poly48, run_poly64]
     runs += [run_mixtures[seed] for seed in sorted(run_mixtures)]
     sound_count = 0
     worst_ratio = 0.0

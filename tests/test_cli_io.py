@@ -94,10 +94,8 @@ n = 32
 l = 6.5
 [initial_data]
 family = polytail
-sigma = 0.3
 separation = 1.5
 k = 11
-R = 1.25
 seed = 7
 modes = 2
 [run]
@@ -139,8 +137,8 @@ def test_parse_every_field():
     expected = {
         "grid": {"n": 32, "l": 6.5},
         "initial_data": {
-            "family": "polytail", "sigma": 0.3, "separation": 1.5, "k": 11.0,
-            "R": 1.25, "seed": 7, "modes": 2,
+            "family": "polytail", "separation": 1.5, "k": 11.0, "seed": 7,
+            "modes": 2,
         },
         "run": {
             "T": 0.5, "cfl": 0.25, "dt_min": 1e-8, "dt_max": 0.01,
@@ -179,6 +177,10 @@ def test_parse_errors():
         parse_config("[foo]\nx = 1\n")
     with pytest.raises(ConfigError, match="unknown key grid.spacing"):
         parse_config("[grid]\nspacing = 1\n")
+    with pytest.raises(ConfigError, match="unknown key initial_data.sigma"):
+        parse_config("[initial_data]\nsigma = 0.3\n")
+    with pytest.raises(ConfigError, match="unknown key initial_data.R"):
+        parse_config("[initial_data]\nR = 1.25\n")
     with pytest.raises(ConfigError, match="grid.n must be an integer"):
         parse_config("[grid]\nn = eight\n")
     with pytest.raises(ConfigError, match="grid.l must be a number"):
@@ -194,6 +196,8 @@ def test_parse_errors():
     ("[grid]\nn = 6\n", "grid.n must be at least 8"),
     ("[grid]\nl = 0\n", "grid.l must be positive"),
     ("[initial_data]\nfamily = cauchy\n", "initial_data.family must be one of"),
+    ("[initial_data]\nfamily = narrow_gaussian\n",
+     "initial_data.family must be one of maxwellian, bimaxwellian, polytail, mixture$"),
     ("[initial_data]\nmodes = 0\n", "initial_data.modes must be at least 1"),
     ("[run]\nT = 0\n", "run.T must be positive"),
     ("[run]\ncfl = 1.5\n", "run.cfl must lie in"),

@@ -11,7 +11,6 @@ from landau import diagnostics
 from landau.degiorgi import (
     EPS0_NOTE,
     IterationLadder,
-    beta1_exponent,
     critical_bracket,
     critical_eps0,
     fit_recurrence,
@@ -23,7 +22,7 @@ from landau.degiorgi import (
     subcritical_bracket,
 )
 from landau.inequalities import CRITICAL, SUBCRITICAL
-from landau.solver import Snapshot, StepControl, Trajectory, make_state
+from landau.solver import Snapshot, Trajectory, make_state
 
 
 @pytest.fixture(scope="module")
@@ -31,7 +30,7 @@ def mu_traj16(grid16):
     mu = landau.maxwellian(grid16)
     snaps = tuple(Snapshot(mu, 0.5 * i, i) for i in range(3))
     records = tuple(diagnostics.record(make_state(mu, s.t)) for s in snaps)
-    return Trajectory(grid16, snaps, records, StepControl(), 1.0)
+    return Trajectory(grid16, snaps, records, 1.0)
 
 
 def test_measure_ladder_validation(mu_traj16):
@@ -245,11 +244,11 @@ def test_predict_linf_bound_validation():
 def test_propagation_monitor_gates(grid16):
     mu = landau.maxwellian(grid16)
     two = Trajectory(grid16, (Snapshot(mu, 0.0, 0), Snapshot(mu, 1.0, 1)),
-                     (), StepControl(), 1.0)
+                     (), 1.0)
     with pytest.raises(ValueError, match="need at least 3 snapshots"):
         propagation_ode_monitor(two, 0.01)
     coarse = Trajectory(grid16, tuple(Snapshot(mu, 0.5 * i, 20 * i) for i in range(3)),
-                        (), StepControl(), 1.0)
+                        (), 1.0)
     with pytest.raises(ValueError, match="at most 10 steps apart"):
         propagation_ode_monitor(coarse, 0.01)
 
@@ -274,19 +273,13 @@ def test_propagation_monitor_vacuous(mu_traj16):
     assert mon.c_fit == 0.0 and mon.satisfied_fraction == 1.0
 
 
-def test_beta1_exponent():
-    assert beta1_exponent(4.5) == pytest.approx(1.0, rel=1e-12)
-    # q caps at 4/3 over the whole range m <= 8
-    assert beta1_exponent(3.0) == pytest.approx(beta1_exponent(7.0), rel=1e-12)
-    assert beta1_exponent(12.0) == pytest.approx(3.0, rel=1e-12)
-    with pytest.raises(ValueError, match="m must exceed 2"):
-        beta1_exponent(2.0)
-
-
 def test_prop51_window():
     # 2 delta = 1 makes the bracket 1 + 1 + 1
     assert prop51_window(0.5, 2.0) == pytest.approx(1.0 / 12.0, rel=1e-15)
-    assert prop51_window(1.0, 1.0, beta1=3.0) == pytest.approx(1.0 / 11.0, rel=1e-15)
+    # 2 delta = 2 pins the exponent 7/3
+    assert prop51_window(1.0, 1.0) == pytest.approx(
+        1.0 / (3.0 + 2.0 ** (7.0 / 3.0)), rel=1e-15
+    )
     assert prop51_window(50.0, 1e-6) == 1.0
     with pytest.raises(ValueError, match="delta must be positive"):
         prop51_window(0.0, 1.0)

@@ -5,7 +5,7 @@ import pytest
 
 import landau
 from landau.diagnostics import record
-from landau.solver import Snapshot, StepControl, Trajectory, make_state
+from landau.solver import Snapshot, Trajectory, make_state
 
 from oracle_values import (
     ENTROPY_MU,
@@ -30,7 +30,7 @@ def mu_traj(grid64, mu64):
         Snapshot(mu64, 0.5, 1),
         Snapshot(mu64, 1.0, 2),
     )
-    return Trajectory(grid64, snaps, (), StepControl(), 1.0)
+    return Trajectory(grid64, snaps, (), 1.0)
 
 
 def test_record_equilibrium_values(mu64):
@@ -102,7 +102,7 @@ def test_level_set_energy_oracle(mu_traj):
 def test_level_set_energy_b_refines(grid32, mu_traj):
     mu32 = landau.maxwellian(grid32)
     snaps = (Snapshot(mu32, 0.0, 0), Snapshot(mu32, 1.0, 1))
-    traj32 = Trajectory(grid32, snaps, (), StepControl(), 1.0)
+    traj32 = Trajectory(grid32, snaps, (), 1.0)
     w32 = landau.level_set_energy(traj32, LS_LEVEL, 1.5, 4.5)
     w64 = landau.level_set_energy(mu_traj, LS_LEVEL, 1.5, 4.5)
     assert w32.b_int < w64.b_int < LS_B_MU

@@ -5,14 +5,18 @@ import numpy as np
 import pytest
 
 import landau
+from landau import inequalities
 from landau.errors import HypothesisError
 from landau.inequalities import (
     CRITICAL,
     SUBCRITICAL,
+    barrier_verdict,
     critical_weight_constant,
     report_from_ratios,
 )
-from landau.solver import Snapshot, StepControl, Trajectory
+from landau.solver import Snapshot, Trajectory
+
+from conftest import build_run
 
 
 def test_cutoff_shape():
@@ -112,11 +116,8 @@ def test_barrier_rate_subcritical():
 def test_barrier_params_validation():
     with pytest.raises(ValueError, match="amplitude a must be positive"):
         landau.BarrierParams(a=0.0, k=10.0, eta_rate=1.0, regime=CRITICAL)
-    with pytest.raises(ValueError, match="eta_rate below the sufficient value"):
-        landau.BarrierParams(
-            a=1.0, k=10.0, eta_rate=0.1, regime=CRITICAL, m_bound=0.02
-        )
-    p = landau.make_barrier(CRITICAL, 0.5, 10.0, m_bound=0.02)
+    eta = landau.barrier_sufficient_rate(CRITICAL, 10.0, m_bound=0.02)
+    p = landau.BarrierParams(a=0.5, k=10.0, eta_rate=eta, regime=CRITICAL)
     assert p.level(0.0) == pytest.approx(0.5)
     assert p.level(1.0) == pytest.approx(0.5 * math.exp(-p.eta_rate))
     # 2/3 power in the critical clock
@@ -124,30 +125,40 @@ def test_barrier_params_validation():
 
 
 def test_minimum_principle_monitor_exact_barrier(grid16):
-    # data a hair above the barrier: zero excess at t=0 and forever after
+    # data a hair above the barrier: zero excess at t=0 and forever after,
+    # and the ratio grows as the barrier decays while f stays put
     a0 = 1e-3
     wk = landau.weight_field(grid16, -10.0).values
     f = landau.ScalarField(grid16, (1.0 + 1e-6) * a0 * wk)
-    params = landau.make_barrier(CRITICAL, a0, 10.0, m_bound=0.02)
+    eta = landau.barrier_sufficient_rate(CRITICAL, 10.0, m_bound=0.02)
+    params = landau.BarrierParams(a=a0, k=10.0, eta_rate=eta, regime=CRITICAL)
     snaps = tuple(Snapshot(f, 0.25 * i, i) for i in range(4))
-    traj = Trajectory(grid16, snaps, (), StepControl(), 0.75)
+    traj = Trajectory(grid16, snaps, (), 0.75)
     mon = landau.minimum_principle_monitor(traj, params)
     assert mon.hypothesis_ok
     assert np.all(mon.values == 0.0)
     assert mon.max_increase == 0.0
+    for snap, ratio in zip(snaps, mon.ratios):
+        expected = (1.0 + 1e-6) * math.exp(eta * snap.t ** (2.0 / 3.0))
+        assert ratio == pytest.approx(expected, rel=1e-12)
     with pytest.raises(ValueError, match="n_weight must be below -3"):
         landau.minimum_principle_monitor(traj, params, n_weight=-2.0)
 
 
-def test_lower_bound_ratio_exact_barrier(grid16):
-    a0 = 1e-3
-    wk = landau.weight_field(grid16, -10.0).values
-    f = landau.ScalarField(grid16, a0 * wk)
-    params = landau.make_barrier(CRITICAL, a0, 10.0, m_bound=0.02)
-    assert landau.lower_bound_ratio(f, 0.0, params) == pytest.approx(1.0, rel=1e-12)
-    # the barrier decays while f stays put, so the ratio grows
-    r1 = landau.lower_bound_ratio(f, 1.0, params)
-    assert r1 == pytest.approx(math.exp(params.eta_rate), rel=1e-12)
+def test_barrier_verdict_builds_weights_once(monkeypatch):
+    # <v>^k and <v>^n are built once per verdict, whatever the snapshot count
+    data, traj = build_run("polytail", 16, 8.0, 0.05, 0.01, 1)
+    assert len(traj.states) == 6
+    sparse = Trajectory(traj.grid, traj.states[::3], traj.records, traj.T)
+    calls = []
+    real = inequalities.weight_field
+    monkeypatch.setattr(inequalities, "weight_field",
+                        lambda grid, m: calls.append(m) or real(grid, m))
+    for t in (traj, sparse):
+        calls.clear()
+        v = barrier_verdict(t, data.field, CRITICAL, 10.0)
+        assert len(v.monitor.values) == len(t.states)
+        assert len(calls) == 2
 
 
 def test_make_corpus_properties(grid16):

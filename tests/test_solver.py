@@ -200,20 +200,16 @@ def test_run_validation(grid16):
     neg[0, 0, 0] = -1.0
     with pytest.raises(ValueError, match="initial data must be nonnegative"):
         landau.run(landau.ScalarField(grid16, neg), 1.0)
-    control = StepControl(cfl=0.5, dt_min=1e-9, dt_max=0.05)
-    with pytest.raises(ValueError, match=r"schedule times must lie in \[0, T\]"):
-        landau.run(mu, 0.1, control, schedule=(-0.1,))
 
 
-def test_run_schedule_and_snapshots(grid16):
+def test_run_snapshot_every(grid16):
     mu = landau.maxwellian(grid16)
     control = StepControl(cfl=0.5, dt_min=1e-9, dt_max=0.02)
-    traj = landau.run(mu, 0.1, control, schedule=(0.0, 0.05))
-    times = traj.times()
-    assert times[0] == 0.0
-    # first snapshot at or past each scheduled time, endpoint always kept
-    assert any(0.05 <= t <= 0.05 + 0.02 + 1e-12 for t in times)
-    assert times[-1] == pytest.approx(0.1, rel=1e-12)
+    traj = landau.run(mu, 0.1, control, snapshot_every=2)
+    # every second step from t=0, endpoint always kept
+    assert [s.step_count for s in traj.states] == [0, 2, 4, 5]
+    assert traj.states[0].t == 0.0
+    assert traj.states[-1].t == pytest.approx(0.1, rel=1e-12)
     # records cover every step including t=0
     assert len(traj.records) == traj.states[-1].step_count + 1
     assert traj.records[0].t == 0.0
