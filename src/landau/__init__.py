@@ -51,7 +51,6 @@ from .grid_field import (
     gradient,
     integrate,
     laplacian,
-    level_set_split,
     make_grid,
     weight_field,
     weighted_lp_norm,

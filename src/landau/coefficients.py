@@ -2,11 +2,14 @@
 
 The matrix kernel Pi(v)/(8 pi |v|), Pi(v) = Id - v v^T/|v|^2, yields the
 diffusion matrix A[f]; its trace is the scalar kernel 1/(4 pi |v|), so the
-potential is a[f] = tr A[f].  The six components are tabulated once per
-grid on the doubled (zero-padding) grid; the singular cell is replaced by
-the analytic average of the kernel over that cell, which keeps the
-quadrature second order.  The table keeps only their real symbols,
-6 (2n)^2 (n+1) doubles (about 51 MB at n = 64).
+potential is a[f] = tr A[f].  The singular cell is replaced by the
+analytic average of the kernel over that cell, which keeps the quadrature
+second order.  The table keeps only the real symbols of the six
+components on the doubled (zero-padding) grid, 6 (2n)^2 (n+1) doubles
+(about 51 MB at n = 64).  Each component is even or odd along every axis,
+so its symbol is built from the nonnegative octant alone, (n+1)^3 nodes,
+with a type-1 DCT along the even axes and a type-1 DST along the odd ones
+(Martucci 1994), then mirrored onto the full grid.
 
 Every convolution runs through one pruned transform path (Markel's FFT
 pruning): the forward transform of f goes axis by axis and never touches
@@ -23,10 +26,9 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import fft as sp_fft
-from scipy.integrate import dblquad
 
 from . import _accel
-from .errors import ConfigError, NumericError
+from .errors import ConfigError
 from .grid_field import (
     ScalarField,
     SymMatrixField,
@@ -42,9 +44,6 @@ _EIGHT_PI = 8.0 * np.pi
 
 _SCALAR_COMPONENT = "scalar"
 _MATRIX_COMPONENTS = ("xx", "yy", "zz", "xy", "xz", "yz")
-# a symbol's imaginary part, relative to its largest real part, above which
-# the table is rejected; parity makes it round-off (~1e-17) by construction
-_SYMBOL_IMAG_RTOL = 1e-12
 
 
 def fft_workers() -> int:
@@ -66,17 +65,10 @@ def _unit_cell_kernel_average() -> float:
     Gnomonic projection onto the six faces turns the weakly singular
     integral into a smooth 2-D one:
     integral over [-1,1]^3 of 1/|v| = 3 Q with
-    Q = integral over [-1,1]^2 of (1 + x^2 + y^2)^(-1/2).
+    Q = integral over [-1,1]^2 of (1 + x^2 + y^2)^(-1/2)
+      = 4 (ln(2 + sqrt 3) - pi/6).
     """
-    q, _ = dblquad(
-        lambda y, x: 1.0 / np.sqrt(1.0 + x * x + y * y),
-        -1.0,
-        1.0,
-        -1.0,
-        1.0,
-        epsabs=1e-13,
-        epsrel=1e-13,
-    )
+    q = 4.0 * (np.log(2.0 + np.sqrt(3.0)) - np.pi / 6.0)
     return 3.0 * q / (16.0 * np.pi)
 
 
@@ -98,24 +90,29 @@ def _origin_slot(h: float) -> float:
     return (_unit_cell_kernel_average() + _MIDPOINT_DEFICIT) / h
 
 
-def _kernel_geometry(grid: VelocityGrid):
-    """Wrap-ordered offsets, |offset|^2 and |offset| on the doubled grid.
+def _kernel_geometry(off: np.ndarray):
+    """Per-axis offsets, |offset|^2 and |offset| on the lattice off^3.
 
-    Index j holds cell offset j for j <= n and j - 2n beyond; the origin's
-    |offset| is a placeholder that the kernels overwrite.
+    off holds the offsets of one axis with the origin at index 0; the
+    origin's |offset| is a placeholder that the kernels overwrite.
     """
-    n = grid.n
-    m = 2 * n
-    j = np.arange(m)
-    off = np.where(j <= n, j, j - m).astype(float) * grid.h
     o = (off[:, None, None], off[None, :, None], off[None, None, :])
     r2 = o[0] * o[0] + o[1] * o[1] + o[2] * o[2]
     r2[0, 0, 0] = 1.0
     return o, r2, np.sqrt(r2)
 
 
+def _doubled_geometry(grid: VelocityGrid):
+    """Kernel geometry on the doubled grid in wrap order: index j holds
+    cell offset j for j <= n and j - 2n beyond."""
+    n = grid.n
+    m = 2 * n
+    j = np.arange(m)
+    return _kernel_geometry(np.where(j <= n, j, j - m).astype(float) * grid.h)
+
+
 def _scalar_kernel(grid: VelocityGrid) -> np.ndarray:
-    _, _, r = _kernel_geometry(grid)
+    _, _, r = _doubled_geometry(grid)
     scalar = 1.0 / (_FOUR_PI * r)
     scalar[0, 0, 0] = _origin_slot(grid.h)
     return scalar
@@ -164,7 +161,9 @@ class KernelTable:
     order, offsets -(n-1)..(n-1) per axis.  The unused slot at offset n
     never multiplies a retained output cell, so it is zeroed; each
     component is then even or odd along every axis and its symbol is
-    real.  The scalar kernel needs no symbol of its own: tr Pi/(8 pi r) =
+    real.  ``build_kernel_table`` therefore tabulates only offsets 0..n,
+    transforms them with DCT-I/DST-I and mirrors kx and ky by parity.
+    The scalar kernel needs no symbol of its own: tr Pi/(8 pi r) =
     1/(4 pi r) nodewise, so its symbol is the sum of the diagonal three.
 
     The real-space ``scalar`` and ``matrix`` tables, offset-n slots not
@@ -181,7 +180,7 @@ class KernelTable:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        geometry = _kernel_geometry(self.grid)
+        geometry = _doubled_geometry(self.grid)
         return np.stack([_matrix_kernel(self.grid, c, geometry) for c in range(6)])
 
 
@@ -214,20 +213,41 @@ class CoefficientSet:
         return self._ellipticity_range[1]
 
 
+def _half_dft(values: np.ndarray, axis: int, odd: bool, workers: int) -> np.ndarray:
+    """Offsets 0..n of the 2n-point DFT, along axis, of a sequence that is
+    even or odd about offset 0 and zero at offset n, from its offsets 0..n.
+
+    An even sequence's DFT is the DCT-I of its half.  An odd one's is -i
+    times the DST-I of offsets 1..n-1, framed by zeros at 0 and n; the
+    factor -i is left to the caller.
+    """
+    if not odd:
+        return sp_fft.dct(values, type=1, axis=axis, workers=workers)
+    inner = (slice(None),) * axis + (slice(1, values.shape[axis] - 1),)
+    out = np.zeros_like(values)
+    out[inner] = sp_fft.dst(values[inner], type=1, axis=axis, workers=workers)
+    return out
+
+
 def build_kernel_table(grid: VelocityGrid) -> KernelTable:
     n = grid.n
     m = 2 * n
     workers = fft_workers()
-    geometry = _kernel_geometry(grid)
+    geometry = _kernel_geometry(np.arange(n + 1) * grid.h)
     symbols = np.empty((6, m, m, n + 1))
     for c, name in enumerate(_MATRIX_COMPONENTS):
-        kernel = _matrix_kernel(grid, c, geometry)
-        kernel[n, :, :] = kernel[:, n, :] = kernel[:, :, n] = 0.0
-        hat = _forward(kernel, m, workers)
-        scale = float(np.max(np.abs(hat.real)))
-        if float(np.max(np.abs(hat.imag))) > _SYMBOL_IMAG_RTOL * scale:
-            raise NumericError(f"kernel symbol {name} is not real")
-        symbols[c] = hat.real
+        odd = [name.count(axis) == 1 for axis in "xyz"]
+        hat = _matrix_kernel(grid, c, geometry)
+        hat[n, :, :] = hat[:, n, :] = hat[:, :, n] = 0.0
+        for axis in (2, 1, 0):
+            hat = _half_dft(hat, axis, odd[axis], workers)
+        # an off-diagonal component is odd along two axes: (-i)^2 = -1
+        sign = -1.0 if any(odd) else 1.0
+        sx, sy = (-1.0 if o else 1.0 for o in odd[:2])
+        sym = symbols[c]
+        np.multiply(hat, sign, out=sym[: n + 1, : n + 1])
+        np.multiply(sym[n - 1 : 0 : -1, : n + 1], sx, out=sym[n + 1 :, : n + 1])
+        np.multiply(sym[:, n - 1 : 0 : -1], sy, out=sym[:, n + 1 :])
     return KernelTable(grid=grid, symbols=symbols)
 
 

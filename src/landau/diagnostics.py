@@ -182,13 +182,22 @@ def equilibrium_distance(state, m: float = 4.5):
 def bulk_quantities(snap, K: float, m: float = 4.5):
     """(y, F, z, G) for one snapshot: excess and capped-bulk weighted
     3/2-masses and their gradient terms, at threshold K and cap 2K."""
+    return _bulk_series((snap,), K, m)[0]
+
+
+def _bulk_series(snaps, K: float, m: float):
+    """bulk_quantities of each snapshot, with the two weights built once."""
     if K < 0.0:
         raise ValueError("level must be nonnegative")
-    grid = snap.f.grid
-    fv = snap.f.values
+    grid = snaps[0].f.grid
     wm = weight_field(grid, m).values
     wg = weight_field(grid, m - 3.0).values
-    y, f_term = _excess_integrals(grid, np.maximum(fv - K, 0.0), 1.5, wm, wg)
-    z, g_term = _excess_integrals(grid, np.maximum(np.minimum(fv, 2.0 * K), 0.0),
-                                  1.5, wm, wg)
-    return y, f_term, z, g_term
+    series = []
+    for snap in snaps:
+        fv = snap.f.values
+        y, f_term = _excess_integrals(grid, np.maximum(fv - K, 0.0), 1.5, wm, wg)
+        z, g_term = _excess_integrals(
+            grid, np.maximum(np.minimum(fv, 2.0 * K), 0.0), 1.5, wm, wg
+        )
+        series.append((y, f_term, z, g_term))
+    return series

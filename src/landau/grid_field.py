@@ -162,12 +162,3 @@ def laplacian_values(grid: VelocityGrid, values: np.ndarray) -> np.ndarray:
 
 def laplacian(f: ScalarField) -> ScalarField:
     return ScalarField(f.grid, laplacian_values(f.grid, f.values))
-
-
-def level_set_split(f: ScalarField, level: float) -> tuple[ScalarField, ScalarField]:
-    """Split f into excess (f - level)_+ and bulk min(f, level)."""
-    if level < 0.0:
-        raise ValueError("level must be nonnegative")
-    excess = np.maximum(f.values - level, 0.0)
-    bulk = np.minimum(f.values, level)
-    return ScalarField(f.grid, excess), ScalarField(f.grid, bulk)

@@ -118,8 +118,8 @@ def step(
     f0 = state.f.values
     k1 = _rhs(grid, f0, state.coeffs)
     f1 = f0 + dt * k1
-    c1 = _coefficients_for(grid, f1)
-    k2 = _rhs(grid, f1, c1)
+    # the stage set dies here, before the new state's set is built
+    k2 = _rhs(grid, f1, _coefficients_for(grid, f1))
     f2 = f0 + 0.5 * dt * (k1 + k2)
 
     if not np.all(np.isfinite(f2)):

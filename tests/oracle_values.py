@@ -14,7 +14,8 @@ A_MU_ORIGIN = 0.06349363593424098        # a[mu](0) = sqrt(2/pi)/(4 pi)
 A_MU_MATRIX_ORIGIN = 0.021164545311413662  # A[mu](0) = a[mu](0)/3 Id
 
 # geometry of the singular cell: Q = int_{[-1,1]^2} (1+x^2+y^2)^(-1/2),
-# so the average of 1/(4 pi |v|) over the unit cube is 3Q/(16 pi)
+# so the average of 1/(4 pi |v|) over the unit cube is 3Q/(16 pi); frozen
+# from 2-D quadrature, and equal to the closed form 4 (ln(2+sqrt 3) - pi/6)
 Q_GNOMONIC = 3.1734364853060715
 S0_UNIT = 0.18940053870923707
 
@@ -48,6 +49,10 @@ def regenerate():
 
     q_val, _ = sint.dblquad(lambda y, x: 1.0 / np.sqrt(1.0 + x * x + y * y),
                             -1.0, 1.0, -1.0, 1.0, epsabs=1e-13, epsrel=1e-13)
+    # the package uses the closed form; the quadrature must agree with it
+    q_closed = 4.0 * (np.log(2.0 + np.sqrt(3.0)) - np.pi / 6.0)
+    if abs(q_val - q_closed) > 1e-13 * q_closed:
+        raise RuntimeError(f"Q quadrature {q_val!r} != closed form {q_closed!r}")
     out["Q_GNOMONIC"] = q_val
     out["S0_UNIT"] = 3.0 * q_val / (16.0 * np.pi)
 

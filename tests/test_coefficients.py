@@ -1,5 +1,8 @@
 """Kernel tables, the two convolution routes, and coefficient assembly."""
 import dataclasses
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -31,6 +34,26 @@ def test_unit_offset_slots(grid8, table8):
     assert yy == pytest.approx(1.0 / (8 * np.pi), rel=1e-14)
     assert zz == pytest.approx(1.0 / (8 * np.pi), rel=1e-14)
     assert xy == xz == yz == 0.0
+
+
+def test_unit_cell_average_matches_quadrature():
+    # the closed form 3Q/(16 pi), Q = 4 (ln(2 + sqrt 3) - pi/6), against
+    # the frozen 2-D quadrature of Q
+    assert coefficients._unit_cell_kernel_average() == pytest.approx(S0_UNIT, rel=1e-15)
+
+
+def test_import_loads_no_quadrature():
+    # of scipy the package imports scipy.fft only, which keeps start-up short
+    src = os.path.dirname(os.path.dirname(landau.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, landau; print('scipy.integrate' in sys.modules)"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_origin_slot_value(grid8, table8):
@@ -238,7 +261,7 @@ def _padded_kernels(table):
     return kernels
 
 
-@pytest.mark.parametrize("grid_name", ["grid8", "grid16"])
+@pytest.mark.parametrize("grid_name", ["grid8", "grid16", "grid32"])
 def test_symbols_are_real(request, grid_name):
     table = landau.kernel_table_for(request.getfixturevalue(grid_name))
     hats = sp_fft.rfftn(_padded_kernels(table)[1:], axes=(1, 2, 3))
@@ -246,20 +269,6 @@ def test_symbols_are_real(request, grid_name):
         scale = float(np.max(np.abs(hat.real)))
         assert float(np.max(np.abs(hat.imag))) <= 1e-12 * scale, COMPONENTS[c + 1]
         assert np.allclose(table.symbols[c], hat.real, rtol=0.0, atol=1e-13 * scale)
-
-
-def test_complex_symbol_rejected(grid8, monkeypatch):
-    # a kernel that is neither even nor odd along x has no real symbol
-    build = coefficients._matrix_kernel
-
-    def lopsided(grid, comp, geometry):
-        kernel = build(grid, comp, geometry)
-        kernel[1, 0, 0] += 1e-3
-        return kernel
-
-    monkeypatch.setattr(coefficients, "_matrix_kernel", lopsided)
-    with pytest.raises(landau.NumericError, match="kernel symbol xx is not real"):
-        coefficients.build_kernel_table(grid8)
 
 
 @pytest.mark.parametrize("grid_name", ["grid8", "grid16"])

@@ -273,6 +273,25 @@ def test_propagation_monitor_vacuous(mu_traj16):
     assert mon.c_fit == 0.0 and mon.satisfied_fraction == 1.0
 
 
+def test_propagation_monitor_builds_weights_once(mu_traj16, monkeypatch):
+    # <v>^m and <v>^(m-3) are built once per call, not once per snapshot
+    calls = []
+    weight_field = diagnostics.weight_field
+
+    def counting(grid, m):
+        calls.append(m)
+        return weight_field(grid, m)
+
+    K = 0.5 * float(mu_traj16.states[0].f.values.max())
+    want = np.array([diagnostics.bulk_quantities(s, K) for s in mu_traj16.states])
+    monkeypatch.setattr(diagnostics, "weight_field", counting)
+    mon = propagation_ode_monitor(mu_traj16, K)
+    assert len(mu_traj16.states) == 3
+    assert len(calls) <= 2
+    got = np.stack([mon.y, mon.f_series, mon.z, mon.g_series], axis=1)
+    assert np.array_equal(got, want)
+
+
 def test_prop51_window():
     # 2 delta = 1 makes the bracket 1 + 1 + 1
     assert prop51_window(0.5, 2.0) == pytest.approx(1.0 / 12.0, rel=1e-15)

@@ -119,30 +119,3 @@ def test_laplacian_field_wrapper(grid16):
     f = landau.ScalarField(grid16, grid16.radius2.copy())
     lap = landau.laplacian(f)
     assert np.allclose(lap.values, 6.0, atol=1e-10)
-
-
-def test_level_set_split_identity(grid16):
-    mu = landau.maxwellian(grid16)
-    level = 0.3 * float(mu.values.max())
-    excess, bulk = landau.level_set_split(mu, level)
-    assert np.allclose(excess.values + bulk.values, mu.values)
-    assert np.all(excess.values >= 0)
-    assert np.all(bulk.values <= level + 1e-15)
-    # at level 0 everything is excess
-    e0, b0 = landau.level_set_split(mu, 0.0)
-    assert np.allclose(e0.values, mu.values)
-    assert np.allclose(b0.values, 0.0)
-
-
-def test_level_set_split_monotone(grid16):
-    mu = landau.maxwellian(grid16)
-    m = float(mu.values.max())
-    e1, _ = landau.level_set_split(mu, 0.2 * m)
-    e2, _ = landau.level_set_split(mu, 0.4 * m)
-    assert landau.integrate(e2) <= landau.integrate(e1)
-
-
-def test_level_set_split_validation(grid16):
-    mu = landau.maxwellian(grid16)
-    with pytest.raises(ValueError, match="level must be nonnegative"):
-        landau.level_set_split(mu, -0.1)

@@ -1,4 +1,6 @@
 """Flux assembly, conservation, step control, and the run loop."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -239,3 +241,19 @@ def test_eig_range_once_per_recorded_state(grid16, monkeypatch):
     assert steps == 3
     assert len(traj.records) == steps + 1
     assert len(calls) == steps + 1
+
+
+def test_step_releases_stage_coefficients(grid16):
+    # a coefficient set holds 10 n^3 doubles (a, grad a, A); with the Heun
+    # stage's set released before the new state's set is built, one step
+    # peaks near 34 n^3 doubles, against 44 with the stage set alive
+    state = make_state(landau.maxwellian(grid16))
+    control = StepControl()
+    step(state, control)  # warms the kernel table and state's ellipticity range
+    tracemalloc.start()
+    try:
+        step(state, control)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * grid16.n ** 3 * 8
