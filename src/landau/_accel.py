@@ -20,33 +20,63 @@ _ROWS = ((0, 3, 4), (3, 1, 5), (4, 5, 2))
 def eig_range(a6: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Smallest and largest eigenvalue of a field of symmetric 3x3 matrices.
 
-    Closed-form trigonometric method; no iterative solver.
+    Closed-form trigonometric method; no iterative solver.  The steps run
+    in place on a few work arrays, rounding the same operands in the same
+    order as the plain expression of the method would, so the result is
+    the same bit for bit at a fraction of its temporaries.
     """
     axx, ayy, azz, axy, axz, ayz = a6
-    p1 = axy * axy + axz * axz + ayz * ayz
-    q = (axx + ayy + azz) / 3.0
-    p2 = (axx - q) ** 2 + (ayy - q) ** 2 + (azz - q) ** 2 + 2.0 * p1
-    p = np.sqrt(np.maximum(p2, 0.0) / 6.0)
-    safe = p > 0.0
-    ps = np.where(safe, p, 1.0)
-    bxx = (axx - q) / ps
-    byy = (ayy - q) / ps
-    bzz = (azz - q) / ps
-    bxy = axy / ps
-    bxz = axz / ps
-    byz = ayz / ps
-    detb = (
-        bxx * (byy * bzz - byz * byz)
-        - bxy * (bxy * bzz - byz * bxz)
-        + bxz * (bxy * byz - byy * bxz)
-    )
-    r = np.clip(detb / 2.0, -1.0, 1.0)
-    phi = np.arccos(r) / 3.0
-    lmax = q + 2.0 * ps * np.cos(phi)
-    lmin = q + 2.0 * ps * np.cos(phi + _TWO_PI_3)
+    q = axx + ayy
+    q += azz
+    q /= 3.0
+    # deviatoric diagonal, then p = sqrt(tr(dev^2) / 6)
+    bxx, byy, bzz = axx - q, ayy - q, azz - q
+    p1 = axy * axy
+    p1 += axz * axz
+    p1 += ayz * ayz
+    p1 *= 2.0
+    ps = bxx * bxx
+    ps += byy * byy
+    ps += bzz * bzz
+    ps += p1
+    del p1
+    np.maximum(ps, 0.0, out=ps)
+    ps /= 6.0
+    np.sqrt(ps, out=ps)
     # p == 0 means the matrix is exactly isotropic
-    lmax = np.where(safe, lmax, q)
-    lmin = np.where(safe, lmin, q)
+    isotropic = ~(ps > 0.0)
+    ps[isotropic] = 1.0
+    bxx /= ps
+    byy /= ps
+    bzz /= ps
+    bxy, bxz, byz = axy / ps, axz / ps, ayz / ps
+    # r = det(B) / 2, clipped, then phi = arccos(r) / 3
+    r = byy * bzz
+    r -= byz * byz
+    r *= bxx
+    term = bxy * bzz
+    term -= byz * bxz
+    term *= bxy
+    r -= term
+    np.multiply(bxy, byz, out=term)
+    term -= byy * bxz
+    term *= bxz
+    r += term
+    del bxx, byy, bzz, bxy, bxz, byz, term
+    r /= 2.0
+    np.clip(r, -1.0, 1.0, out=r)
+    phi = np.arccos(r, out=r)
+    phi /= 3.0
+    ps *= 2.0
+    lmax = np.cos(phi)
+    lmax *= ps
+    lmax += q
+    phi += _TWO_PI_3
+    lmin = np.cos(phi, out=phi)
+    lmin *= ps
+    lmin += q
+    lmax[isotropic] = q[isotropic]
+    lmin[isotropic] = q[isotropic]
     return lmin, lmax
 
 

@@ -564,6 +564,50 @@ def write_run_plots(outdir: str, t, linf, fisher, entropy) -> None:
 # experiment driver
 
 
+# n^3 arrays of doubles live at a step's peak: the padded spectrum of f and
+# its product buffer, A, the state's coefficient set, f and the step's
+# stages (traced bimaxwellian runs: 44.2, 43.5 and 43.3 at n = 32/48/64)
+_STEP_ARRAYS = 44
+
+
+def _estimated_peak_bytes(n: int) -> int:
+    """Memory a run at grid size n needs at least: the kernel table, six
+    octant symbols of (n+1)^3 doubles, plus a step's working set.  The
+    interpreter's own footprint and kept snapshots come on top."""
+    return 6 * (n + 1) ** 3 * 8 + _STEP_ARRAYS * 8 * n ** 3
+
+
+def _memory_limit_bytes() -> float:
+    """The smaller of MemAvailable and the cgroup (v2) memory.max, read
+    only; inf where neither can be read."""
+    limit = math.inf
+    try:
+        with open("/proc/meminfo") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    limit = int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        pass
+    try:
+        with open("/sys/fs/cgroup/memory.max") as fh:
+            raw = fh.read().strip()
+        if raw != "max":
+            limit = min(limit, int(raw))
+    except (OSError, ValueError):
+        pass
+    return limit
+
+
+def _check_memory(n: int) -> None:
+    need = _estimated_peak_bytes(n)
+    have = _memory_limit_bytes()
+    if need > have:
+        raise ConfigError(
+            f"memory: a run at n={n} needs at least {need / 1e6:.0f} MB, "
+            f"more than the {have / 1e6:.0f} MB available"
+        )
+
+
 def _check_line(name: str, ok: bool, detail: str) -> str:
     return f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}"
 
@@ -572,7 +616,8 @@ def run_experiment(config: ExperimentConfig, outdir: str) -> int:
     """Run the configured experiment and write all artifacts to outdir.
 
     Returns 0 when every enabled check passes, 1 otherwise; hypothesis
-    and config violations raise before the run starts.
+    and config violations, and a run too large for the memory at hand,
+    raise before the run starts.
     """
     os.makedirs(outdir, exist_ok=True)
     # hypothesis gates come first so bad configs fail before the long run
@@ -581,6 +626,8 @@ def run_experiment(config: ExperimentConfig, outdir: str) -> int:
             raise HypothesisError("hypothesis: k > 5 required")
 
     grid = make_grid(config.grid.n, config.grid.l)
+    # before the kernel table is built, so a run that cannot fit exits 2
+    _check_memory(grid.n)
     init = make_initial_data(config, grid)
     rc, dc = config.run, config.diagnostics
     control = solver.StepControl(

@@ -4,19 +4,21 @@ The matrix kernel Pi(v)/(8 pi |v|), Pi(v) = Id - v v^T/|v|^2, yields the
 diffusion matrix A[f]; its trace is the scalar kernel 1/(4 pi |v|), so the
 potential is a[f] = tr A[f].  The singular cell is replaced by the
 analytic average of the kernel over that cell, which keeps the quadrature
-second order.  The table keeps only the real symbols of the six
-components on the doubled (zero-padding) grid, 6 (2n)^2 (n+1) doubles
-(about 51 MB at n = 64).  Each component is even or odd along every axis,
-so its symbol is built from the nonnegative octant alone, (n+1)^3 nodes,
-with a type-1 DCT along the even axes and a type-1 DST along the odd ones
-(Martucci 1994), then mirrored onto the full grid.
+second order.  Each component is even or odd along every axis, so its
+real symbol on the doubled (zero-padding) grid is a signed mirror image
+of its nonnegative octant (Martucci 1994).  The table keeps only the six
+octants, 6 (n+1)^3 doubles (about 13 MB at n = 64, 103 MB at n = 128),
+built from the kernels on (n+1)^3 nodes with a type-1 DCT along the even
+axes and a type-1 DST along the odd ones.
 
 Every convolution runs through one pruned transform path (Markel's FFT
 pruning): the forward transform of f goes axis by axis and never touches
 the seven-eighths of the padded input that is zero, and the inverse drops
 the discarded output rows after each axis.  ``compute_coefficients``
 transforms f once and streams the six components, one at a time, through
-a single reused spectrum buffer.
+a single reused spectrum buffer, multiplied quadrant by quadrant against
+reversed views of each octant; the transform buffers are released before
+the gradient of the potential is taken.
 """
 from __future__ import annotations
 
@@ -44,6 +46,10 @@ _EIGHT_PI = 8.0 * np.pi
 
 _SCALAR_COMPONENT = "scalar"
 _MATRIX_COMPONENTS = ("xx", "yy", "zz", "xy", "xz", "yz")
+# per component and axis: is the kernel odd along it (the axis occurs once)?
+_ODD = tuple(
+    tuple(name.count(axis) == 1 for axis in "xyz") for name in _MATRIX_COMPONENTS
+)
 
 
 def fft_workers() -> int:
@@ -140,31 +146,65 @@ def _forward(values: np.ndarray, m: int, workers: int) -> np.ndarray:
     return sp_fft.fft(spec, n=m, axis=0, workers=workers)
 
 
-def _inverse(spec: np.ndarray, n: int, workers: int) -> np.ndarray:
-    """Leading n^3 corner of irfftn over the last three axes of spec.
+def _halves(n: int):
+    """The two ranges of a doubled-grid axis, each with the octant rows
+    that hold its symbol: 0..n as stored, and n+1..2n-1 as the mirror
+    images n-1..1 (k -> 2n - k)."""
+    return (slice(0, n + 1), slice(None)), (slice(n + 1, 2 * n), slice(n - 1, 0, -1))
 
-    Rows beyond n are dropped after each 1-D pass, so the later passes
-    never compute output cells that would be discarded.  The complex
-    passes run in place: spec is overwritten.
+
+def _convolutions(values: np.ndarray, symbols, parities, workers: int) -> np.ndarray:
+    """Leading n^3 corner of irfftn(rfftn(values) * symbol), zero padding to
+    (2n)^3, for each octant symbol; stacked, not scaled by h^3.
+
+    values is transformed once.  On the doubled grid a symbol is its octant
+    mirrored by parity, hat[2n - k] = -hat[k] along an odd axis, so the
+    spectrum is multiplied quadrant by quadrant in kx and ky against
+    reversed views of the octant, into one reused spectrum buffer.  The
+    parity signs go where they touch the least data: the ky sign negates
+    the mirrored ky half of the spectrum of values once, before the first
+    symbol odd in y (those come last), and the kx sign negates only the
+    mirrored kx rows that the first inverse pass keeps.  The inverse runs
+    axis by axis in place and drops the discarded output rows after each
+    pass.
     """
-    out = sp_fft.ifft(spec, axis=-2, workers=workers, overwrite_x=True)[..., :n, :]
-    out = sp_fft.ifft(out, axis=-3, workers=workers, overwrite_x=True)[..., :n, :, :]
-    return sp_fft.irfft(out, n=2 * n, axis=-1, workers=workers)[..., :n]
+    n = values.shape[0]
+    fhat = _forward(values, 2 * n, workers)
+    spec = np.empty_like(fhat)
+    out = np.empty((len(symbols), n, n, n))
+    y_flipped = False
+    for c in sorted(range(len(symbols)), key=lambda c: parities[c][1]):
+        odd_x, odd_y, _ = parities[c]
+        if odd_y and not y_flipped:
+            np.negative(fhat[:, n + 1 :], out=fhat[:, n + 1 :])
+            y_flipped = True
+        for kx, ox in _halves(n):
+            for ky, oy in _halves(n):
+                np.multiply(fhat[kx, ky], symbols[c][ox, oy], out=spec[kx, ky])
+        kept = sp_fft.ifft(spec, axis=1, workers=workers, overwrite_x=True)[:, :n]
+        if odd_x:
+            np.negative(kept[n + 1 :], out=kept[n + 1 :])
+        kept = sp_fft.ifft(kept, axis=0, workers=workers, overwrite_x=True)[:n]
+        out[c] = sp_fft.irfft(kept, n=2 * n, axis=-1, workers=workers)[..., :n]
+    return out
 
 
 @dataclass(frozen=True)
 class KernelTable:
     """Real transfer functions of the six matrix-kernel components.
 
-    ``symbols`` has shape (6, 2n, 2n, n+1) in the order xx, yy, zz, xy, xz,
-    yz: the rfftn of each component tabulated on the doubled grid in wrap
-    order, offsets -(n-1)..(n-1) per axis.  The unused slot at offset n
-    never multiplies a retained output cell, so it is zeroed; each
-    component is then even or odd along every axis and its symbol is
-    real.  ``build_kernel_table`` therefore tabulates only offsets 0..n,
-    transforms them with DCT-I/DST-I and mirrors kx and ky by parity.
-    The scalar kernel needs no symbol of its own: tr Pi/(8 pi r) =
-    1/(4 pi r) nodewise, so its symbol is the sum of the diagonal three.
+    ``symbols`` has shape (6, n+1, n+1, n+1) in the order xx, yy, zz, xy,
+    xz, yz: the nonnegative octant, kx, ky, kz = 0..n, of the rfftn of
+    each component tabulated on the doubled grid in wrap order, offsets
+    -(n-1)..(n-1) per axis.  The unused slot at offset n never multiplies
+    a retained output cell, so it is zeroed; each component is then even
+    or odd along every axis and its symbol is real, with
+    hat[2n - k] = hat[k] along an even axis and -hat[k] along an odd one.
+    ``build_kernel_table`` tabulates only offsets 0..n and transforms them
+    with DCT-I/DST-I; the convolutions read kx, ky > n from the octant
+    through reversed views and the parity sign.  The scalar kernel needs
+    no symbol of its own: tr Pi/(8 pi r) = 1/(4 pi r) nodewise, so its
+    symbol is the sum of the diagonal three, all even.
 
     The real-space ``scalar`` and ``matrix`` tables, offset-n slots not
     zeroed, are built on first access; only the direct-sum route and the
@@ -231,23 +271,16 @@ def _half_dft(values: np.ndarray, axis: int, odd: bool, workers: int) -> np.ndar
 
 def build_kernel_table(grid: VelocityGrid) -> KernelTable:
     n = grid.n
-    m = 2 * n
     workers = fft_workers()
     geometry = _kernel_geometry(np.arange(n + 1) * grid.h)
-    symbols = np.empty((6, m, m, n + 1))
-    for c, name in enumerate(_MATRIX_COMPONENTS):
-        odd = [name.count(axis) == 1 for axis in "xyz"]
+    symbols = np.empty((6, n + 1, n + 1, n + 1))
+    for c, odd in enumerate(_ODD):
         hat = _matrix_kernel(grid, c, geometry)
         hat[n, :, :] = hat[:, n, :] = hat[:, :, n] = 0.0
         for axis in (2, 1, 0):
             hat = _half_dft(hat, axis, odd[axis], workers)
         # an off-diagonal component is odd along two axes: (-i)^2 = -1
-        sign = -1.0 if any(odd) else 1.0
-        sx, sy = (-1.0 if o else 1.0 for o in odd[:2])
-        sym = symbols[c]
-        np.multiply(hat, sign, out=sym[: n + 1, : n + 1])
-        np.multiply(sym[n - 1 : 0 : -1, : n + 1], sx, out=sym[n + 1 :, : n + 1])
-        np.multiply(sym[:, n - 1 : 0 : -1], sy, out=sym[:, n + 1 :])
+        np.multiply(hat, -1.0 if any(odd) else 1.0, out=symbols[c])
     return KernelTable(grid=grid, symbols=symbols)
 
 
@@ -276,15 +309,15 @@ def convolve_free_space(
     """
     _check_table_grid(table, f.grid)
     if component == _SCALAR_COMPONENT:
-        khat = table.symbols[0] + table.symbols[1] + table.symbols[2]
+        # the sum of the diagonal three, each even along every axis
+        khat, odd = table.symbols[0] + table.symbols[1] + table.symbols[2], _ODD[0]
     else:
         try:
-            khat = table.symbols[_MATRIX_COMPONENTS.index(component)]
+            c = _MATRIX_COMPONENTS.index(component)
         except ValueError:
             raise ValueError(f"unknown kernel component {component!r}") from None
-    n = f.grid.n
-    workers = fft_workers()
-    vals = _inverse(_forward(f.values, 2 * n, workers) * khat, n, workers)
+        khat, odd = table.symbols[c], _ODD[c]
+    vals = _convolutions(f.values, (khat,), (odd,), fft_workers())[0]
     return ScalarField(f.grid, vals * f.grid.cell_volume())
 
 
@@ -338,8 +371,9 @@ def compute_coefficients(f: ScalarField, table: KernelTable | None = None) -> Co
 
     One forward transform of f; then, per matrix component, the spectrum
     times that component's symbol goes through one reused buffer and one
-    pruned inverse into A.  a[f] = tr A[f] because the kernels' traces
-    agree nodewise.  grad a is obtained by differencing the potential so
+    pruned inverse into A; the spectrum and that buffer are freed before
+    the gradient below.  a[f] = tr A[f] because the kernels' traces agree
+    nodewise.  grad a is obtained by differencing the potential so
     the flux scheme sees the exact discrete identity grad_a = gradient(a).
     The ellipticity range is left to the first read of the set.
     """
@@ -350,14 +384,7 @@ def compute_coefficients(f: ScalarField, table: KernelTable | None = None) -> Co
     if table is None:
         table = kernel_table_for(grid)
     _check_table_grid(table, grid)
-    n = grid.n
-    workers = fft_workers()
-    fhat = _forward(f.values, 2 * n, workers)
-    spec = np.empty_like(fhat)
-    a6 = np.empty((6, n, n, n))
-    for c in range(6):
-        np.multiply(fhat, table.symbols[c], out=spec)
-        a6[c] = _inverse(spec, n, workers)
+    a6 = _convolutions(f.values, table.symbols, _ODD, fft_workers())
     a6 *= grid.cell_volume()
     a_vals = a6[0] + a6[1] + a6[2]
     return CoefficientSet(

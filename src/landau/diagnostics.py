@@ -92,7 +92,11 @@ class LevelSetWindow:
 
 def _excess_integrals(grid, values, p: float, wm, wg):
     """Weighted p-mass of a nonnegative array (weight wm) and the gradient
-    term of its p/2 power (weight wg)."""
+    term of its p/2 power (weight wg).  Both are exactly 0.0 for an
+    all-zero array, such as the excess over a level above max f, which
+    then costs no gradient."""
+    if not values.any():
+        return 0.0, 0.0
     vol = grid.cell_volume()
     a_val = vol * float(np.sum(wm * values ** p))
     ge = gradient_values(grid, values ** (0.5 * p))

@@ -121,6 +121,7 @@ def step(
     # the stage set dies here, before the new state's set is built
     k2 = _rhs(grid, f1, _coefficients_for(grid, f1))
     f2 = f0 + 0.5 * dt * (k1 + k2)
+    del f1, k1, k2  # not live while the new state's set is built
 
     if not np.all(np.isfinite(f2)):
         raise NumericError(f"solution lost finiteness at t={state.t + dt:.6g}")

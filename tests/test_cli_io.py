@@ -549,6 +549,32 @@ def test_bad_config_exits_before_solver(tmp_path, monkeypatch, capsys):
     assert "experiments.barrier.a must be positive" in capsys.readouterr().err
 
 
+def test_run_too_large_for_memory_exits_2(tmp_path, monkeypatch, capsys):
+    # the estimate is checked before any kernel table is looked up or built
+    from landau import cli_io, coefficients
+
+    monkeypatch.setattr(cli_io, "_memory_limit_bytes", lambda: 1e6)
+    before = coefficients._cached_table.cache_info()
+    cfg = tmp_path / "ok.ini"
+    cfg.write_text("[grid]\nn = 16\n[run]\nT = 0.01\n")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "memory: a run at n=16 needs at least" in capsys.readouterr().err
+    after = coefficients._cached_table.cache_info()
+    assert (after.hits, after.misses, after.currsize) == (
+        before.hits, before.misses, before.currsize
+    )
+
+
+def test_memory_estimate_admits_the_benchmark_sizes():
+    from landau import cli_io
+
+    # the table term is the six octant symbols alone
+    step = cli_io._STEP_ARRAYS * 8 * 64 ** 3
+    assert cli_io._estimated_peak_bytes(64) - step == 6 * 65 ** 3 * 8
+    assert cli_io._estimated_peak_bytes(64) < 0.2e9
+    assert cli_io._memory_limit_bytes() > 0
+
+
 def test_internal_value_error_is_not_a_config_error(tmp_path, monkeypatch):
     # an internal fault propagates (exit 1 with a traceback), not exit 2
     def broken_run(*args, **kwargs):

@@ -228,8 +228,9 @@ def test_streamed_matrix_matches_single_component(request, grid_name):
 
 
 def test_compute_coefficients_allocation_peak(grid32):
-    # the six spectra share one buffer: the peak stays below the size of
-    # a (6, 2n, 2n, n+1) complex batch
+    # the six spectra share one product buffer, and the spectrum of f and
+    # that buffer are released before the gradient of a: the peak is the
+    # two spectra, A and one output pass, and nothing else of size
     n = grid32.n
     table = landau.kernel_table_for(grid32)
     f = landau.maxwellian(grid32)
@@ -240,7 +241,10 @@ def test_compute_coefficients_allocation_peak(grid32):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 6 * (2 * n) ** 2 * (n + 1) * 16
+    spectra = 2 * (2 * n) ** 2 * (n + 1) * 16
+    a6 = 6 * n ** 3 * 8
+    output_pass = n * n * (2 * n) * 8
+    assert peak < 1.05 * (spectra + a6 + output_pass)
 
 
 def test_ellipticity_range_matches_eager_formula(grid16):
@@ -261,14 +265,66 @@ def _padded_kernels(table):
     return kernels
 
 
+def _mirror_signs(component):
+    """Parity signs along kx and ky: -1 where the component is odd."""
+    return tuple(-1.0 if component.count(axis) == 1 else 1.0 for axis in "xy")
+
+
 @pytest.mark.parametrize("grid_name", ["grid8", "grid16", "grid32"])
 def test_symbols_are_real(request, grid_name):
+    # the table holds the nonnegative octant of each full rfftn symbol,
+    # and the rest of the symbol is that octant mirrored by parity
     table = landau.kernel_table_for(request.getfixturevalue(grid_name))
+    n = table.grid.n
     hats = sp_fft.rfftn(_padded_kernels(table)[1:], axes=(1, 2, 3))
     for c, hat in enumerate(hats):
+        comp = COMPONENTS[c + 1]
         scale = float(np.max(np.abs(hat.real)))
-        assert float(np.max(np.abs(hat.imag))) <= 1e-12 * scale, COMPONENTS[c + 1]
-        assert np.allclose(table.symbols[c], hat.real, rtol=0.0, atol=1e-13 * scale)
+        tol = 1e-13 * scale
+        assert float(np.max(np.abs(hat.imag))) <= 1e-12 * scale, comp
+        octant = hat.real[: n + 1, : n + 1]
+        assert np.allclose(table.symbols[c], octant, rtol=0.0, atol=tol), comp
+        sx, sy = _mirror_signs(comp)
+        assert np.allclose(hat.real[n + 1 :], sx * hat.real[n - 1 : 0 : -1],
+                           rtol=0.0, atol=tol), comp
+        assert np.allclose(hat.real[:, n + 1 :], sy * hat.real[:, n - 1 : 0 : -1],
+                           rtol=0.0, atol=tol), comp
+
+
+def _full_grid_coefficients(f, table):
+    """A and a by mirroring each octant onto the whole (2n, 2n, n+1) grid,
+    one product with the spectrum of f, then the pruned inverse."""
+    n = f.grid.n
+    workers = coefficients.fft_workers()
+    fhat = coefficients._forward(f.values, 2 * n, workers)
+    a6 = np.empty((6, n, n, n))
+    for c, comp in enumerate(COMPONENTS[1:]):
+        sx, sy = _mirror_signs(comp)
+        sym = np.empty((2 * n, 2 * n, n + 1))
+        sym[: n + 1, : n + 1] = table.symbols[c]
+        sym[n + 1 :, : n + 1] = sx * sym[n - 1 : 0 : -1, : n + 1]
+        sym[:, n + 1 :] = sy * sym[:, n - 1 : 0 : -1]
+        spec = sp_fft.ifft(fhat * sym, axis=1, workers=workers)[:, :n]
+        spec = sp_fft.ifft(spec, axis=0, workers=workers)[:n]
+        a6[c] = sp_fft.irfft(spec, n=2 * n, axis=-1, workers=workers)[..., :n]
+    a6 *= f.grid.cell_volume()
+    return a6, a6[0] + a6[1] + a6[2]
+
+
+@pytest.mark.parametrize("grid_name", ["grid8", "grid16", "grid32"])
+def test_quadrant_products_match_full_grid_mirroring(request, grid_name):
+    # the quadrant-by-quadrant products against octant views reproduce the
+    # full-grid symbol route bit for bit
+    grid = request.getfixturevalue(grid_name)
+    table = landau.kernel_table_for(grid)
+    n = grid.n
+    rng = np.random.default_rng(19)
+    for values in (rng.random((n, n, n)), landau.maxwellian(grid).values):
+        f = landau.ScalarField(grid, values)
+        c = landau.compute_coefficients(f, table)
+        a6, a = _full_grid_coefficients(f, table)
+        assert np.array_equal(c.A.values, a6)
+        assert np.array_equal(c.a.values, a)
 
 
 @pytest.mark.parametrize("grid_name", ["grid8", "grid16"])
@@ -293,8 +349,9 @@ def test_matches_full_padded_convolution(request, grid_name):
 def test_table_holds_only_real_symbols(request, grid_name):
     grid = request.getfixturevalue(grid_name)
     table = landau.kernel_table_for(grid)
-    n, m = grid.n, 2 * grid.n
+    n = grid.n
     arrays = [getattr(table, f.name) for f in dataclasses.fields(table)]
     arrays = [a for a in arrays if isinstance(a, np.ndarray)]
     assert not any(np.iscomplexobj(a) for a in arrays)
-    assert sum(a.nbytes for a in arrays) == 6 * m * m * (n + 1) * 8
+    # the nonnegative octant of the six symbols, nothing else
+    assert sum(a.nbytes for a in arrays) == 6 * (n + 1) ** 3 * 8

@@ -128,6 +128,31 @@ def test_eps_regularity_is_level_set_e(mu_traj):
     assert eps == win.e
 
 
+def test_level_above_max_costs_no_gradient(grid16, monkeypatch):
+    # a level above max f leaves no excess on any snapshot: the excess
+    # terms are exactly zero and take no gradient
+    from landau import diagnostics
+
+    mu = landau.maxwellian(grid16)
+    traj = Trajectory(grid16, (Snapshot(mu, 0.0, 0), Snapshot(mu, 1.0, 1)), (), 1.0)
+    level = 2.0 * float(mu.values.max())
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return landau.grid_field.gradient_values(*args)
+
+    monkeypatch.setattr(diagnostics, "gradient_values", counted)
+    win = landau.level_set_energy(traj, level)
+    assert win.e == 0.0 and win.a_sup == 0.0 and win.b_int == 0.0
+    assert calls == []
+    # the bulk series: y and F vanish the same way; only the capped bulk
+    # z, G takes its one gradient per snapshot
+    series = diagnostics._bulk_series(traj.states, level, 4.5)
+    assert [row[:2] for row in series] == [(0.0, 0.0)] * 2
+    assert len(calls) == 2
+
+
 def test_bulk_quantities_vacuous_threshold(grid16):
     mu = landau.maxwellian(grid16)
     snap = Snapshot(mu, 0.0, 0)
