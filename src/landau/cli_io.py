@@ -794,8 +794,7 @@ def run_inequality_suite(grid: VelocityGrid, size: int, seed: int):
     eps_grid = np.logspace(-2.0, 0.0, 7)
     return [
         check_weighted_sobolev(corpus, 4.5, seed),
-        check_interpolation(corpus, 1.5, 2.5, 4.5, seed),
-        check_interpolation(corpus, 1.5, 13.0 / 6.0, 4.5, seed),
+        *check_interpolation(corpus, 1.5, (2.5, 13.0 / 6.0), 4.5, seed),
         check_eps_poincare(pairs, 2.0, eps_grid, 2.0, seed),
     ]
 

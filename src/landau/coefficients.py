@@ -16,9 +16,10 @@ pruning): the forward transform of f goes axis by axis and never touches
 the seven-eighths of the padded input that is zero, and the inverse drops
 the discarded output rows after each axis.  ``compute_coefficients``
 transforms f once and streams the six components, one at a time, through
-a single reused spectrum buffer, multiplied quadrant by quadrant against
-reversed views of each octant; the transform buffers are released before
-the gradient of the potential is taken.
+a single reused spectrum buffer, multiplied a few kx-planes at a time
+against a small contiguous block that mirrors the octant with its parity
+signs; the transform buffers are released before the gradient of the
+potential is taken.
 """
 from __future__ import annotations
 
@@ -138,12 +139,16 @@ def _matrix_kernel(grid: VelocityGrid, comp: int, geometry) -> np.ndarray:
 def _forward(values: np.ndarray, m: int, workers: int) -> np.ndarray:
     """rfftn of values zero-padded to m^3, one axis at a time.
 
-    Each 1-D pass pads only its own axis, so the rows that are zero along
-    the later axes are never transformed (FFT pruning).
+    The z pass writes into a zeroed (m, m, m/2+1) spectrum; the y pass runs
+    in place on its first n planes and the x pass on the whole, so rows
+    that are zero along the later axes are never transformed (FFT pruning)
+    and no pass makes a padded copy.
     """
-    spec = sp_fft.rfft(values, n=m, axis=2, workers=workers)
-    spec = sp_fft.fft(spec, n=m, axis=1, workers=workers)
-    return sp_fft.fft(spec, n=m, axis=0, workers=workers)
+    n = values.shape[0]
+    spec = np.zeros((m, m, m // 2 + 1), dtype=complex)
+    spec[:n, :n] = sp_fft.rfft(values, n=m, axis=2, workers=workers)
+    spec[:n] = sp_fft.fft(spec[:n], axis=1, workers=workers, overwrite_x=True)
+    return sp_fft.fft(spec, axis=0, workers=workers, overwrite_x=True)
 
 
 def _halves(n: int):
@@ -153,37 +158,40 @@ def _halves(n: int):
     return (slice(0, n + 1), slice(None)), (slice(n + 1, 2 * n), slice(n - 1, 0, -1))
 
 
+# kx-planes per product block: 8 x 2n x (n+1) doubles, 0.5 MB at n = 64
+_BLOCK_PLANES = 8
+
+
 def _convolutions(values: np.ndarray, symbols, parities, workers: int) -> np.ndarray:
     """Leading n^3 corner of irfftn(rfftn(values) * symbol), zero padding to
     (2n)^3, for each octant symbol; stacked, not scaled by h^3.
 
     values is transformed once.  On the doubled grid a symbol is its octant
-    mirrored by parity, hat[2n - k] = -hat[k] along an odd axis, so the
-    spectrum is multiplied quadrant by quadrant in kx and ky against
-    reversed views of the octant, into one reused spectrum buffer.  The
-    parity signs go where they touch the least data: the ky sign negates
-    the mirrored ky half of the spectrum of values once, before the first
-    symbol odd in y (those come last), and the kx sign negates only the
-    mirrored kx rows that the first inverse pass keeps.  The inverse runs
+    mirrored by parity, hat[2n - k] = -hat[k] along an odd axis.  A few
+    kx-planes at a time, the octant rows are copied into a small contiguous
+    block, mirrored along ky with both parity signs applied, and the
+    spectrum planes are multiplied by that block into one reused spectrum
+    buffer, so every product runs on contiguous data.  The inverse runs
     axis by axis in place and drops the discarded output rows after each
     pass.
     """
     n = values.shape[0]
     fhat = _forward(values, 2 * n, workers)
     spec = np.empty_like(fhat)
+    block = np.empty((_BLOCK_PLANES, 2 * n, n + 1))
     out = np.empty((len(symbols), n, n, n))
-    y_flipped = False
-    for c in sorted(range(len(symbols)), key=lambda c: parities[c][1]):
-        odd_x, odd_y, _ = parities[c]
-        if odd_y and not y_flipped:
-            np.negative(fhat[:, n + 1 :], out=fhat[:, n + 1 :])
-            y_flipped = True
-        for kx, ox in _halves(n):
-            for ky, oy in _halves(n):
-                np.multiply(fhat[kx, ky], symbols[c][ox, oy], out=spec[kx, ky])
+    for c, (odd_x, odd_y, _) in enumerate(parities):
+        sign_y = -1.0 if odd_y else 1.0
+        for (kx, ox), sign_x in zip(_halves(n), (1.0, -1.0 if odd_x else 1.0)):
+            rows, fplanes, splanes = symbols[c][ox], fhat[kx], spec[kx]
+            for i in range(0, len(rows), _BLOCK_PLANES):
+                part = rows[i : i + _BLOCK_PLANES]
+                b = block[: len(part)]
+                np.multiply(part, sign_x, out=b[:, : n + 1])
+                np.multiply(b[:, n - 1 : 0 : -1], sign_y, out=b[:, n + 1 :])
+                j = slice(i, i + len(part))
+                np.multiply(fplanes[j], b, out=splanes[j])
         kept = sp_fft.ifft(spec, axis=1, workers=workers, overwrite_x=True)[:, :n]
-        if odd_x:
-            np.negative(kept[n + 1 :], out=kept[n + 1 :])
         kept = sp_fft.ifft(kept, axis=0, workers=workers, overwrite_x=True)[:n]
         out[c] = sp_fft.irfft(kept, n=2 * n, axis=-1, workers=workers)[..., :n]
     return out
@@ -201,10 +209,10 @@ class KernelTable:
     or odd along every axis and its symbol is real, with
     hat[2n - k] = hat[k] along an even axis and -hat[k] along an odd one.
     ``build_kernel_table`` tabulates only offsets 0..n and transforms them
-    with DCT-I/DST-I; the convolutions read kx, ky > n from the octant
-    through reversed views and the parity sign.  The scalar kernel needs
-    no symbol of its own: tr Pi/(8 pi r) = 1/(4 pi r) nodewise, so its
-    symbol is the sum of the diagonal three, all even.
+    with DCT-I/DST-I; the convolutions mirror kx, ky > n from the octant
+    with the parity sign.  The scalar kernel needs no symbol of its own:
+    tr Pi/(8 pi r) = 1/(4 pi r) nodewise, so its symbol is the sum of the
+    diagonal three, all even.
 
     The real-space ``scalar`` and ``matrix`` tables, offset-n slots not
     zeroed, are built on first access; only the direct-sum route and the

@@ -7,6 +7,7 @@ import pytest
 import landau
 from landau import inequalities
 from landau.errors import HypothesisError
+from landau.grid_field import gradient_values
 from landau.inequalities import (
     CRITICAL,
     SUBCRITICAL,
@@ -71,9 +72,47 @@ def test_weighted_sobolev_small_corpus(grid16):
 def test_interpolation_small_corpus(grid16):
     # the even/odd stability split needs a dozen samples to settle down
     corpus = landau.make_corpus(grid16, 16, 7)
-    rep = landau.check_interpolation(corpus, 1.5, 2.5, 4.5, 7)
+    (rep,) = landau.check_interpolation(corpus, 1.5, (2.5,), 4.5, 7)
     assert rep.passed
     assert np.isfinite(rep.max_ratio)
+
+
+def _interpolation_reference(corpus, p, q, k, seed):
+    """One q per call, every term recomputed per sample."""
+    m = inequalities.interpolation_weight(p, q, k)
+    expo_mass = (3.0 * p - q) / (2.0 * p)
+    expo_grad = 3.0 * (q - p) / (2.0 * p)
+    grid = corpus[0].grid
+    w_k, w_m, w_g = (landau.weight_field(grid, i).values for i in (k, m, k - 3.0))
+    ratios = []
+    for f in corpus:
+        vol = grid.cell_volume()
+        fv = np.maximum(f.values, 0.0)
+        num = vol * float(np.sum(w_k * fv ** q))
+        mass = vol * float(np.sum(w_m * fv ** p))
+        g = gradient_values(grid, fv ** (0.5 * p))
+        grad = vol * float(np.sum(w_g * (g[0] ** 2 + g[1] ** 2 + g[2] ** 2)))
+        if mass <= 0.0 or grad <= 0.0:
+            continue
+        ratios.append(num / (mass ** expo_mass * grad ** expo_grad))
+    return report_from_ratios(
+        f"interpolation_p{p:g}_q{q:g}_k{k:g}", ratios, seed, notes=f"m={m:.6g}"
+    )
+
+
+@pytest.mark.parametrize("grid_name", ["grid16", "grid32"])
+def test_interpolation_multi_q_matches_per_q_reference(request, grid_name):
+    # one pass per sample for all q gives each q's report bit for bit,
+    # clipped and skipped (all-zero, all-negative) samples included
+    grid = request.getfixturevalue(grid_name)
+    corpus = landau.make_corpus(grid, 9, 13)
+    signed = corpus[0].values - 0.5 * float(corpus[0].values.max())
+    zero = np.zeros((grid.n,) * 3)
+    corpus += [landau.ScalarField(grid, v) for v in (signed, zero, -corpus[1].values)]
+    qs = (2.5, 13.0 / 6.0, 4.0)
+    reports = landau.check_interpolation(corpus, 1.5, qs, 4.5, 13)
+    assert reports == [_interpolation_reference(corpus, 1.5, q, 4.5, 13) for q in qs]
+    assert reports[0].corpus_size == len(corpus) - 2
 
 
 def test_eps_poincare_report_structure(grid16):
@@ -159,6 +198,78 @@ def test_barrier_verdict_builds_weights_once(monkeypatch):
         v = barrier_verdict(t, data.field, CRITICAL, 10.0)
         assert len(v.monitor.values) == len(t.states)
         assert len(calls) == 2
+
+
+def _old_make_corpus(grid, size, seed):
+    """make_corpus as built from the (3, n, n, n) node coordinates."""
+    rng = np.random.default_rng(seed)
+    coords = grid.coords
+    fields = []
+    for i in range(size):
+        kind = i % 3
+        amp = 10.0 ** rng.uniform(-1.0, 1.0)
+        if kind == 0:
+            center = rng.uniform(-1.5, 1.5, size=3)
+            width = rng.uniform(0.4, 1.6)
+            r2 = sum((coords[d] - center[d]) ** 2 for d in range(3))
+            vals = amp * np.exp(-0.5 * r2 / width ** 2)
+        elif kind == 1:
+            vals = np.zeros_like(coords[0])
+            for _ in range(int(rng.integers(2, 4))):
+                center = rng.uniform(-1.5, 1.5, size=3)
+                width = rng.uniform(0.4, 1.2)
+                w = rng.uniform(0.2, 1.0)
+                r2 = sum((coords[d] - center[d]) ** 2 for d in range(3))
+                vals = vals + amp * w * np.exp(-0.5 * r2 / width ** 2)
+        else:
+            center = rng.uniform(-1.0, 1.0, size=3)
+            k_tail = rng.uniform(6.0, 12.0)
+            r2 = sum((coords[d] - center[d]) ** 2 for d in range(3))
+            vals = amp * (1.0 + r2) ** (-0.5 * k_tail)
+        fields.append(vals)
+    return fields
+
+
+def _old_make_poincare_corpus(grid, size, seed):
+    """make_poincare_corpus as built from the node coordinates."""
+    rng = np.random.default_rng(seed)
+    coords = grid.coords
+    amps = np.logspace(-3.0, 3.0, size) * rng.uniform(0.95, 1.05, size=size)
+    cutoff = landau.build_cutoff(0.3 * grid.l)
+    radius = np.sqrt(grid.radius2)
+    phi_cut = cutoff.evaluate(radius)
+    phi_one = np.ones_like(radius)
+    pairs = []
+    for i in range(size):
+        center = rng.normal(0.0, 0.1, size=3)
+        width = rng.uniform(0.9, 1.1)
+        r2 = sum((coords[d] - center[d]) ** 2 for d in range(3))
+        pairs.append((amps[i] * np.exp(-0.5 * r2 / width ** 2),
+                      phi_cut if i % 2 else phi_one))
+    return pairs
+
+
+@pytest.mark.parametrize("grid_name", ["grid16", "grid48"])
+def test_radius2_matches_coordinate_sum(request, grid_name):
+    grid = request.getfixturevalue(grid_name)
+    rng = np.random.default_rng(23)
+    for center in rng.uniform(-2.0, 2.0, size=(5, 3)):
+        want = sum((grid.coords[d] - center[d]) ** 2 for d in range(3))
+        assert np.array_equal(inequalities._radius2(grid, center), want)
+
+
+@pytest.mark.parametrize("grid_name", ["grid16", "grid32"])
+def test_corpora_match_coordinate_construction(request, grid_name):
+    grid = request.getfixturevalue(grid_name)
+    corpus = landau.make_corpus(grid, 9, 29)
+    for f, want in zip(corpus, _old_make_corpus(grid, 9, 29), strict=True):
+        assert np.array_equal(f.values, want)
+    pairs = landau.make_poincare_corpus(grid, 6, 29)
+    for (g, phi), (g_want, phi_want) in zip(
+        pairs, _old_make_poincare_corpus(grid, 6, 29), strict=True
+    ):
+        assert np.array_equal(g.values, g_want)
+        assert np.array_equal(phi.values, phi_want)
 
 
 def test_make_corpus_properties(grid16):
