@@ -39,7 +39,6 @@ from .grid_field import (
     VelocityGrid,
     gradient_values,
     make_grid,
-    weight_field,
 )
 
 _FOUR_PI = 4.0 * np.pi
@@ -249,8 +248,7 @@ class CoefficientSet:
     @cached_property
     def _ellipticity_range(self) -> tuple[float, float]:
         lmin, lmax = _accel.eig_range(self.A.values)
-        w3 = weight_field(self.A.grid, 3.0).values
-        return float(np.min(w3 * lmin)), float(np.max(lmax))
+        return float(np.min(self.A.grid.weight(3.0) * lmin)), float(np.max(lmax))
 
     @property
     def c0_hat(self) -> float:

@@ -303,7 +303,7 @@ def propagation_ode_monitor(trajectory, K: float, m: float = 4.5) -> OdeMonitor:
     if np.max(gaps) > 10:
         raise ValueError("cadence too coarse: snapshots at most 10 steps apart")
     times = np.array([s.t for s in states])
-    series = np.array(diagnostics._bulk_series(states, K, m))
+    series = np.array([diagnostics.bulk_quantities(s, K, m) for s in states])
     y, f_term, z, g_term = series.T
     dydt = np.gradient(y, times)
     lhs = dydt + f_term

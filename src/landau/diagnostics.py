@@ -12,12 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid_field import (
-    ScalarField,
-    _weighted_lp_norms,
-    gradient_values,
-    weight_field,
-)
+from .grid_field import ScalarField, gradient_values, weighted_lp_norm
 
 
 @dataclass(frozen=True)
@@ -34,6 +29,15 @@ class DiagnosticsRecord:
     c0_hat: float
     sup_A: float
     degenerate: bool = False
+
+
+def moments(grid, values) -> tuple:
+    """(mass, momentum, energy) of node values by midpoint quadrature."""
+    vol = grid.cell_volume()
+    mass = vol * float(np.sum(values))
+    momentum = tuple(vol * float(np.sum(x * values)) for x in grid.axes)
+    energy = vol * float(np.sum(grid.radius2 * values))
+    return mass, momentum, energy
 
 
 def record(
@@ -54,11 +58,7 @@ def record(
             degenerate=True,
         )
 
-    mass = vol * float(np.sum(fv))
-    c = grid.coords
-    momentum = tuple(vol * float(np.sum(c[d] * fv)) for d in range(3))
-    energy = vol * float(np.sum(grid.radius2 * fv))
-
+    mass, momentum, energy = moments(grid, fv)
     pos = fv > 0.0
     entropy = vol * float(np.sum(fv[pos] * np.log(fv[pos])))
 
@@ -69,7 +69,7 @@ def record(
     gs = gradient_values(grid, np.sqrt(np.maximum(fv, 0.0)))
     fisher_sqrt = 4.0 * vol * float(np.sum(gs[0] ** 2 + gs[1] ** 2 + gs[2] ** 2))
 
-    lp = _weighted_lp_norms(f, p_list, m_list)
+    lp = {(p, m): weighted_lp_norm(f, p, m) for p in p_list for m in m_list}
     return DiagnosticsRecord(
         t=t, mass=mass, momentum=momentum, energy=energy, entropy=entropy,
         fisher=fisher, fisher_sqrt_form=fisher_sqrt, linf=float(np.max(fv)),
@@ -90,17 +90,18 @@ class LevelSetWindow:
     n_snapshots: int
 
 
-def _excess_integrals(grid, values, p: float, wm, wg):
-    """Weighted p-mass of a nonnegative array (weight wm) and the gradient
-    term of its p/2 power (weight wg).  Both are exactly 0.0 for an
-    all-zero array, such as the excess over a level above max f, which
-    then costs no gradient."""
+def _excess_integrals(grid, values, p: float, m: float):
+    """Weighted p-mass of a nonnegative array (weight <v>^m) and the
+    gradient term of its p/2 power (weight <v>^(m-3)).  Both are exactly
+    0.0 for an all-zero array, such as the excess over a level above
+    max f, which then costs no gradient."""
     if not values.any():
         return 0.0, 0.0
     vol = grid.cell_volume()
-    a_val = vol * float(np.sum(wm * values ** p))
+    a_val = vol * float(np.sum(grid.weight(m) * values ** p))
     ge = gradient_values(grid, values ** (0.5 * p))
-    b_val = vol * float(np.sum(wg * (ge[0] ** 2 + ge[1] ** 2 + ge[2] ** 2)))
+    grad2 = ge[0] ** 2 + ge[1] ** 2 + ge[2] ** 2
+    b_val = vol * float(np.sum(grid.weight(m - 3.0) * grad2))
     return a_val, b_val
 
 
@@ -120,15 +121,12 @@ def level_set_energy(
     snaps = [s for s in states if t1 - 1e-12 * span <= s.t <= t2 + 1e-12 * span]
     if not snaps:
         raise ValueError("empty window: no snapshots in [t1, t2]")
-    grid = snaps[0].f.grid
-    wm = weight_field(grid, m).values
-    wg = weight_field(grid, m - 3.0).values
     a_vals = []
     b_vals = []
     times = []
     for s in snaps:
         excess = np.maximum(s.f.values - level, 0.0)
-        a_val, b_val = _excess_integrals(grid, excess, p, wm, wg)
+        a_val, b_val = _excess_integrals(s.f.grid, excess, p, m)
         a_vals.append(a_val)
         b_vals.append(b_val)
         times.append(s.t)
@@ -167,9 +165,7 @@ def equilibrium_distance(state, m: float = 4.5):
     grid = f.grid
     vol = grid.cell_volume()
     fv = f.values
-    mass = vol * float(np.sum(fv))
-    mom = [vol * float(np.sum(grid.coords[d] * fv)) for d in range(3)]
-    energy = vol * float(np.sum(grid.radius2 * fv))
+    mass, mom, energy = moments(grid, fv)
     if abs(mass - 1.0) > 0.05:
         raise ValueError(f"state is not normalized: mass {mass:.4g} != 1")
     if max(abs(q) for q in mom) > 0.05:
@@ -178,30 +174,19 @@ def equilibrium_distance(state, m: float = 4.5):
         raise ValueError(f"state is not normalized: energy {energy:.4g} != 3")
     diff = fv - maxwellian(grid).values
     l1 = vol * float(np.sum(np.abs(diff)))
-    wm = weight_field(grid, m).values
-    l2m = math.sqrt(vol * float(np.sum(wm * diff * diff)))
+    l2m = math.sqrt(vol * float(np.sum(grid.weight(m) * diff * diff)))
     return l1, l2m, float(np.max(np.abs(diff)))
 
 
 def bulk_quantities(snap, K: float, m: float = 4.5):
     """(y, F, z, G) for one snapshot: excess and capped-bulk weighted
     3/2-masses and their gradient terms, at threshold K and cap 2K."""
-    return _bulk_series((snap,), K, m)[0]
-
-
-def _bulk_series(snaps, K: float, m: float):
-    """bulk_quantities of each snapshot, with the two weights built once."""
     if K < 0.0:
         raise ValueError("level must be nonnegative")
-    grid = snaps[0].f.grid
-    wm = weight_field(grid, m).values
-    wg = weight_field(grid, m - 3.0).values
-    series = []
-    for snap in snaps:
-        fv = snap.f.values
-        y, f_term = _excess_integrals(grid, np.maximum(fv - K, 0.0), 1.5, wm, wg)
-        z, g_term = _excess_integrals(
-            grid, np.maximum(np.minimum(fv, 2.0 * K), 0.0), 1.5, wm, wg
-        )
-        series.append((y, f_term, z, g_term))
-    return series
+    grid = snap.f.grid
+    fv = snap.f.values
+    y, f_term = _excess_integrals(grid, np.maximum(fv - K, 0.0), 1.5, m)
+    z, g_term = _excess_integrals(
+        grid, np.maximum(np.minimum(fv, 2.0 * K), 0.0), 1.5, m
+    )
+    return y, f_term, z, g_term

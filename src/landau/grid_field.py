@@ -26,21 +26,45 @@ class VelocityGrid:
         """1-D node coordinates -l + (i + 1/2) h."""
         return -self.l + (np.arange(self.n) + 0.5) * self.h
 
-    @cached_property
-    def coords(self) -> np.ndarray:
-        """Node coordinates, shape (3, n, n, n)."""
-        vx, vy, vz = np.meshgrid(self.axis, self.axis, self.axis, indexing="ij")
-        return np.stack((vx, vy, vz))
+    @property
+    def axes(self) -> tuple:
+        """The node coordinates as three 1-D views that broadcast to n^3."""
+        a = self.axis
+        return a[:, None, None], a[None, :, None], a[None, None, :]
+
+    def radius2_about(self, center) -> np.ndarray:
+        """|v - center|^2 at the nodes, from the squared 1-D axis offsets."""
+        sx, sy, sz = ((self.axis - c) ** 2 for c in center)
+        return (sx[:, None, None] + sy[None, :, None]) + sz[None, None, :]
 
     @cached_property
     def radius2(self) -> np.ndarray:
-        c = self.coords
-        return c[0] * c[0] + c[1] * c[1] + c[2] * c[2]
+        return _read_only(self.radius2_about((0.0, 0.0, 0.0)))
 
     @cached_property
     def bracket2(self) -> np.ndarray:
         """Squared Japanese bracket 1 + |v|^2 at the nodes."""
-        return 1.0 + self.radius2
+        return _read_only(1.0 + self.radius2)
+
+    @cached_property
+    def _weights(self) -> dict:
+        return {}
+
+    def weight(self, m: float) -> np.ndarray:
+        """Read-only node values of <v>^m with <v> = (1 + |v|^2)^(1/2),
+        built once per distinct m on this grid."""
+        m = float(m)
+        w = self._weights.get(m)
+        if w is None:
+            if abs(m) > 40.0:
+                # log-space evaluation avoids overflow for the large exponents
+                w = np.exp(0.5 * m * np.log1p(self.radius2))
+            else:
+                w = self.bracket2 ** (0.5 * m)
+            if not np.all(np.isfinite(w)):
+                raise ValueError("field values must be finite")
+            w = self._weights[m] = _read_only(w)
+        return w
 
     def cell_volume(self) -> float:
         return self.h ** 3
@@ -84,6 +108,11 @@ class SymMatrixField:
             raise ValueError("field values must be finite")
 
 
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.flags.writeable = False
+    return values
+
+
 def make_grid(n: int, l: float) -> VelocityGrid:
     """Build the cell-centered grid; n must be even and at least 8."""
     if n != int(n) or n % 2 != 0:
@@ -97,14 +126,8 @@ def make_grid(n: int, l: float) -> VelocityGrid:
 
 
 def weight_field(grid: VelocityGrid, m: float) -> ScalarField:
-    """Node values of <v>^m with <v> = (1 + |v|^2)^(1/2)."""
-    m = float(m)
-    if abs(m) > 40.0:
-        # log-space evaluation avoids overflow for the large exponents
-        vals = np.exp(0.5 * m * np.log1p(grid.radius2))
-    else:
-        vals = grid.bracket2 ** (0.5 * m)
-    return ScalarField(grid, vals)
+    """<v>^m as a field, a view of grid.weight(m)."""
+    return ScalarField(grid, grid.weight(m))
 
 
 def integrate(field: ScalarField) -> float:
@@ -114,22 +137,13 @@ def integrate(field: ScalarField) -> float:
 
 def weighted_lp_norm(f: ScalarField, p: float, m: float) -> float:
     """(integral of <v>^m f^p)^(1/p); negative node values are clipped to 0."""
-    return _weighted_lp_norms(f, (p,), (m,))[(p, m)]
-
-
-def _weighted_lp_norms(f: ScalarField, p_list, m_list) -> dict:
-    """weighted_lp_norm for every (p, m) pair, one <v>^m per distinct m."""
-    if any(p < 1.0 for p in p_list):
+    if p < 1.0:
         raise ValueError("p must be at least 1")
     vals = f.values
     if np.any(vals < 0.0):
         vals = np.maximum(vals, 0.0)
-    weights = {m: weight_field(f.grid, m).values for m in set(m_list)}
     vol = f.grid.cell_volume()
-    return {
-        (p, m): float((vol * np.sum(weights[m] * vals ** p)) ** (1.0 / p))
-        for p in p_list for m in m_list
-    }
+    return float((vol * np.sum(f.grid.weight(m) * vals ** p)) ** (1.0 / p))
 
 
 def gradient_values(grid: VelocityGrid, values: np.ndarray) -> np.ndarray:

@@ -12,12 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HypothesisError
-from .grid_field import (
-    ScalarField,
-    VelocityGrid,
-    gradient_values,
-    weight_field,
-)
+from .grid_field import ScalarField, VelocityGrid, gradient_values
 
 # sharp constant in (integral u^6)^(1/3) <= C integral |grad u|^2 on R^3
 SOBOLEV_CONSTANT = (2.0 / math.pi) ** (4.0 / 3.0) / 3.0
@@ -75,16 +70,6 @@ def report_from_ratios(name, ratios, seed, notes="", extra_pass=True) -> Inequal
 # corpora
 
 
-def _radius2(grid: VelocityGrid, center) -> np.ndarray:
-    """|v - center|^2 at the nodes, from the squared 1-D axis offsets.
-
-    Same operands in the same order as summing (coords[d] - center[d])**2
-    over d, so bit for bit equal, in one pass over the full grid.
-    """
-    sx, sy, sz = ((grid.axis - c) ** 2 for c in center)
-    return (sx[:, None, None] + sy[None, :, None]) + sz[None, None, :]
-
-
 def make_corpus(grid: VelocityGrid, size: int, seed: int) -> list[ScalarField]:
     """Seeded corpus of smooth decaying fields: Gaussians, mixtures, tails."""
     rng = np.random.default_rng(seed)
@@ -95,7 +80,7 @@ def make_corpus(grid: VelocityGrid, size: int, seed: int) -> list[ScalarField]:
         if kind == 0:
             center = rng.uniform(-1.5, 1.5, size=3)
             width = rng.uniform(0.4, 1.6)
-            r2 = _radius2(grid, center)
+            r2 = grid.radius2_about(center)
             vals = amp * np.exp(-0.5 * r2 / width ** 2)
         elif kind == 1:
             vals = np.zeros((grid.n,) * 3)
@@ -103,12 +88,12 @@ def make_corpus(grid: VelocityGrid, size: int, seed: int) -> list[ScalarField]:
                 center = rng.uniform(-1.5, 1.5, size=3)
                 width = rng.uniform(0.4, 1.2)
                 w = rng.uniform(0.2, 1.0)
-                r2 = _radius2(grid, center)
+                r2 = grid.radius2_about(center)
                 vals = vals + amp * w * np.exp(-0.5 * r2 / width ** 2)
         else:
             center = rng.uniform(-1.0, 1.0, size=3)
             k_tail = rng.uniform(6.0, 12.0)
-            r2 = _radius2(grid, center)
+            r2 = grid.radius2_about(center)
             vals = amp * (1.0 + r2) ** (-0.5 * k_tail)
         fields.append(ScalarField(grid, vals))
     return fields
@@ -132,7 +117,7 @@ def make_poincare_corpus(
     for i in range(size):
         center = rng.normal(0.0, 0.1, size=3)
         width = rng.uniform(0.9, 1.1)
-        r2 = _radius2(grid, center)
+        r2 = grid.radius2_about(center)
         g = ScalarField(grid, amps[i] * np.exp(-0.5 * r2 / width ** 2))
         pairs.append((g, phi_cut if i % 2 else phi_one))
     return pairs
@@ -140,18 +125,6 @@ def make_poincare_corpus(
 
 # ---------------------------------------------------------------------------
 # inequality checks
-
-
-def _shared_weights(fields, *indices) -> tuple:
-    """<v>^m arrays, one per index m, built once per distinct m on the grid
-    all fields share (equal indices share one array)."""
-    if not fields:
-        return (None,) * len(indices)
-    grid = fields[0].grid
-    if any(f.grid != grid for f in fields):
-        raise ValueError("corpus fields must share one grid")
-    built = {m: weight_field(grid, m).values for m in dict.fromkeys(indices)}
-    return tuple(built[m] for m in indices)
 
 
 def check_weighted_sobolev(
@@ -166,12 +139,12 @@ def check_weighted_sobolev(
     if k < 3.0:
         raise ValueError("k must be at least 3")
     c1 = SOBOLEV_CONSTANT * (k - 3.0) * (k - 1.0) / 4.0
-    w_top, w_mid, w_grad = _shared_weights(corpus, 3.0 * k - 9.0, k - 5.0, k - 3.0)
     ratios = []
     for f in corpus:
         grid = f.grid
         vol = grid.cell_volume()
         fv = f.values
+        w_top, w_mid, w_grad = map(grid.weight, (3.0 * k - 9.0, k - 5.0, k - 3.0))
         g = gradient_values(grid, fv)
         rhs = vol * float(np.sum(w_grad * (g[0] ** 2 + g[1] ** 2 + g[2] ** 2)))
         if rhs <= 0.0:
@@ -204,21 +177,21 @@ def check_interpolation(
     only f^q and the mass sum against <v>^m(q) are computed per q.
     """
     ms = [interpolation_weight(p, q, k) for q in qs]
-    w_k, w_g, *w_ms = _shared_weights(corpus, k, k - 3.0, *ms)
     ratios = [[] for _ in qs]
     for f in corpus:
         grid = f.grid
         vol = grid.cell_volume()
         fv = np.maximum(f.values, 0.0)
         fvp = fv ** p
-        masses = [vol * float(np.sum(w_m * fvp)) for w_m in w_ms]
+        masses = [vol * float(np.sum(grid.weight(m) * fvp)) for m in ms]
         del fvp  # not alive at the gradient, which sets the working-set peak
         g = gradient_values(grid, fv ** (0.5 * p))
+        w_g = grid.weight(k - 3.0)
         grad = vol * float(np.sum(w_g * (g[0] ** 2 + g[1] ** 2 + g[2] ** 2)))
         for q, mass, out in zip(qs, masses, ratios):
             if mass <= 0.0 or grad <= 0.0:
                 continue
-            num = vol * float(np.sum(w_k * fv ** q))
+            num = vol * float(np.sum(grid.weight(k) * fv ** q))
             expo_mass = (3.0 * p - q) / (2.0 * p)
             expo_grad = 3.0 * (q - p) / (2.0 * p)
             out.append(num / (mass ** expo_mass * grad ** expo_grad))
@@ -251,18 +224,20 @@ def check_eps_poincare(
         raise ValueError("eps grid must hold at least two positive values")
     theta = 3.0 / (2.0 * q - 3.0)
 
-    w92, w32 = _shared_weights([g for g, _ in pairs], 4.5, 1.5)
     samples = []
     for g, phi in pairs:
         grid = g.grid
         vol = grid.cell_volume()
+        w92, w32 = grid.weight(4.5), grid.weight(1.5)
         gv = np.maximum(g.values, 0.0)
         pv = phi.values
-        lhs = vol * float(np.sum(w92 * pv * pv * gv ** (p + 1.0)))
+        wpp = w92 * pv * pv
+        lhs = vol * float(np.sum(wpp * gv ** (p + 1.0)))
         grad = gradient_values(grid, pv * gv ** (0.5 * p))
         gterm = vol * float(np.sum(w32 * (grad[0] ** 2 + grad[1] ** 2 + grad[2] ** 2)))
-        mterm = vol * float(np.sum(w92 * pv * pv * gv ** p))
-        nq = vol * float(np.sum(w92 * gv ** q))
+        gp = gv ** p
+        mterm = vol * float(np.sum(wpp * gp))
+        nq = vol * float(np.sum(w92 * (gp if q == p else gv ** q)))
         if mterm <= 0.0 or nq <= 0.0:
             continue  # degenerate sample, skipped
         nfac = nq ** (2.0 / (2.0 * q - 3.0))
@@ -478,8 +453,8 @@ def minimum_principle_monitor(
         raise ValueError("trajectory has no snapshots")
     grid = states[0].f.grid
     vol = grid.cell_volume()
-    wn = weight_field(grid, n_weight).values
-    wk = weight_field(grid, params.k).values
+    wn = grid.weight(n_weight)
+    wk = grid.weight(params.k)
     values = np.empty(len(states))
     ratios = np.empty(len(states))
     for i, snap in enumerate(states):
@@ -519,7 +494,7 @@ def barrier_verdict(trajectory, f0: ScalarField, regime: str, k: float, *,
     the ratios stay at or above 1 - 10 h^2.  a defaults to min f0 <v>^k."""
     records = trajectory.records
     if a is None:
-        a = float(np.min(f0.values * f0.grid.bracket2 ** (0.5 * k)))
+        a = float(np.min(f0.values * f0.grid.weight(k)))
     if regime == CRITICAL:
         bounds = {"m_bound": max(
             (r.sup_A * r.t ** (1.0 / 3.0) for r in records if r.t > 0.0),

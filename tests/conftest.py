@@ -62,6 +62,27 @@ def grid64():
     return landau.make_grid(64, 8.0)
 
 
+@pytest.fixture
+def weight_builds(monkeypatch):
+    """record(grid) empties the grid's weight cache and returns a list
+    that collects the index m of every <v>^m the grid builds from then on."""
+    class Recording(dict):
+        def __init__(self, log):
+            super().__init__()
+            self.log = log
+
+        def __setitem__(self, m, w):
+            self.log.append(m)
+            super().__setitem__(m, w)
+
+    def record(grid):
+        log = []
+        monkeypatch.setitem(grid.__dict__, "_weights", Recording(log))
+        return log
+
+    return record
+
+
 class RunBundle(NamedTuple):
     data: InitialData
     traj: Trajectory

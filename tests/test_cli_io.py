@@ -1,6 +1,7 @@
 """Config parsing, snapshot and CSV formats, the experiment driver, and the
 command-line entry points."""
 import dataclasses
+import math
 import os
 import warnings
 
@@ -625,6 +626,69 @@ def test_mixture_renormalization():
     assert init.params["seed"] == 2026
     assert init.tail_fraction < 1e-2
     assert float(init.field.values.min()) > 0.0
+
+
+def _old_initial_data(idc, grid):
+    """make_initial_data's fixed-point loop as built from the (3, n, n, n)
+    node coordinate cube: (values, residuals, center, dilation)."""
+    coords = np.meshgrid(grid.axis, grid.axis, grid.axis, indexing="ij")
+    r2 = coords[0] * coords[0] + coords[1] * coords[1] + coords[2] * coords[2]
+    vol = grid.cell_volume()
+    if idc.family == "maxwellian":
+        def profile(u):
+            return np.exp(-0.5 * (u[0] ** 2 + u[1] ** 2 + u[2] ** 2))
+    elif idc.family == "bimaxwellian":
+        def profile(u):
+            rr = u[1] ** 2 + u[2] ** 2
+            return 0.5 * (np.exp(-0.5 * ((u[0] - idc.separation) ** 2 + rr))
+                          + np.exp(-0.5 * ((u[0] + idc.separation) ** 2 + rr)))
+    elif idc.family == "polytail":
+        def profile(u):
+            return 1.0 / (1.0 + np.sqrt(u[0] ** 2 + u[1] ** 2 + u[2] ** 2) ** idc.k)
+    else:
+        rng = np.random.default_rng(idc.seed)
+        centers = np.clip(rng.normal(0.0, 1.0, size=(idc.modes, 3)), -2.0, 2.0)
+        widths = rng.uniform(0.5, 1.0, size=idc.modes)
+        amps = rng.uniform(0.5, 1.5, size=idc.modes)
+
+        def profile(u):
+            out = np.zeros_like(u[0])
+            for c, w, a in zip(centers, widths, amps):
+                rr = (u[0] - c[0]) ** 2 + (u[1] - c[1]) ** 2 + (u[2] - c[2]) ** 2
+                out += a * np.exp(-0.5 * rr / w ** 2)
+            return out
+    center = np.zeros(3)
+    lam = amp = 1.0
+    for it in range(13):
+        u = tuple(lam * (coords[d] - center[d]) for d in range(3))
+        vals = amp * lam ** 3 * profile(u)
+        mass = vol * float(np.sum(vals))
+        mom = np.array([vol * float(np.sum(coords[d] * vals)) for d in range(3)]) / mass
+        energy = vol * float(np.sum(r2 * vals)) / mass
+        centered_energy = energy - float(mom @ mom)
+        resid = max(abs(mass - 1.0), float(np.max(np.abs(mom))), abs(energy - 3.0))
+        if resid < 1e-13 or it == 12:
+            break
+        amp /= mass
+        center -= mom
+        if centered_energy > 0.0:
+            lam *= math.sqrt(centered_energy / 3.0)
+    residuals = (mass - 1.0, float(np.max(np.abs(mom))), energy - 3.0)
+    return vals, residuals, tuple(float(c) for c in center), float(lam)
+
+
+@pytest.mark.parametrize("n", [16, 32])
+@pytest.mark.parametrize("family", ["maxwellian", "bimaxwellian", "polytail", "mixture"])
+def test_initial_data_matches_coordinate_construction(family, n):
+    cfg = parse_config(f"[grid]\nn = {n}\n[initial_data]\nfamily = {family}\n")
+    grid = make_grid(n, 8.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        init = make_initial_data(cfg, grid)
+    vals, residuals, center, lam = _old_initial_data(cfg.initial_data, grid)
+    assert np.array_equal(init.field.values, vals)
+    assert init.residuals == residuals
+    assert init.params["center"] == center and init.params["dilation"] == lam
 
 
 def test_polytail_params(grid16):

@@ -273,21 +273,16 @@ def test_propagation_monitor_vacuous(mu_traj16):
     assert mon.c_fit == 0.0 and mon.satisfied_fraction == 1.0
 
 
-def test_propagation_monitor_builds_weights_once(mu_traj16, monkeypatch):
-    # <v>^m and <v>^(m-3) are built once per call, not once per snapshot
-    calls = []
-    weight_field = diagnostics.weight_field
-
-    def counting(grid, m):
-        calls.append(m)
-        return weight_field(grid, m)
-
+def test_propagation_monitor_builds_weights_once(mu_traj16, weight_builds):
+    # <v>^m and <v>^(m-3) are built once per grid, not once per snapshot
     K = 0.5 * float(mu_traj16.states[0].f.values.max())
     want = np.array([diagnostics.bulk_quantities(s, K) for s in mu_traj16.states])
-    monkeypatch.setattr(diagnostics, "weight_field", counting)
+    grids = {id(s.f.grid): s.f.grid for s in mu_traj16.states}
+    assert len(grids) == 1
+    builds = weight_builds(*grids.values())
     mon = propagation_ode_monitor(mu_traj16, K)
     assert len(mu_traj16.states) == 3
-    assert len(calls) <= 2
+    assert sorted(builds) == [1.5, 4.5]
     got = np.stack([mon.y, mon.f_series, mon.z, mon.g_series], axis=1)
     assert np.array_equal(got, want)
 

@@ -148,9 +148,26 @@ def test_level_above_max_costs_no_gradient(grid16, monkeypatch):
     assert calls == []
     # the bulk series: y and F vanish the same way; only the capped bulk
     # z, G takes its one gradient per snapshot
-    series = diagnostics._bulk_series(traj.states, level, 4.5)
+    series = [diagnostics.bulk_quantities(s, level, 4.5) for s in traj.states]
     assert [row[:2] for row in series] == [(0.0, 0.0)] * 2
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("grid_name", ["grid16", "grid32"])
+def test_moments_match_meshgrid(request, grid_name):
+    # frozen construction: sums against the (3, n, n, n) coordinate cube
+    from landau.diagnostics import moments
+
+    grid = request.getfixturevalue(grid_name)
+    coords = np.meshgrid(grid.axis, grid.axis, grid.axis, indexing="ij")
+    r2 = coords[0] * coords[0] + coords[1] * coords[1] + coords[2] * coords[2]
+    vol = grid.cell_volume()
+    rng = np.random.default_rng(5)
+    for vals in (rng.random((grid.n,) * 3), landau.maxwellian(grid).values):
+        mass, momentum, energy = moments(grid, vals)
+        assert mass == vol * float(np.sum(vals))
+        assert momentum == tuple(vol * float(np.sum(c * vals)) for c in coords)
+        assert energy == vol * float(np.sum(r2 * vals))
 
 
 def test_bulk_quantities_vacuous_threshold(grid16):

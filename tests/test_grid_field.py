@@ -1,4 +1,7 @@
 """Grid layout, quadrature, weights, and discrete calculus."""
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -37,6 +40,18 @@ def test_radius_and_bracket(grid16):
     assert g.radius2[i, i, i] == pytest.approx(3 * (g.h / 2) ** 2)
 
 
+@pytest.mark.parametrize("grid_name", ["grid16", "grid32"])
+def test_node_arrays_match_meshgrid(request, grid_name):
+    # frozen construction: the (3, n, n, n) node coordinate cube
+    grid = request.getfixturevalue(grid_name)
+    coords = np.meshgrid(grid.axis, grid.axis, grid.axis, indexing="ij")
+    c0, c1, c2 = coords
+    assert np.array_equal(grid.radius2, c0 * c0 + c1 * c1 + c2 * c2)
+    assert np.array_equal(grid.bracket2, 1.0 + (c0 * c0 + c1 * c1 + c2 * c2))
+    for d, x in enumerate(grid.axes):
+        assert np.array_equal(np.broadcast_to(x, coords[d].shape), coords[d])
+
+
 def test_maxwellian_mass_oracle(grid16, grid64):
     mu16 = landau.maxwellian(grid16)
     mu64 = landau.maxwellian(grid64)
@@ -67,6 +82,45 @@ def test_weight_field_log_space(grid16):
     assert w.values[i, i, i] == pytest.approx(b ** 30.0, rel=1e-12)
 
 
+def test_weight_built_once_per_index(weight_builds):
+    grid = landau.make_grid(16, 8.0)
+    builds = weight_builds(grid)
+    w = grid.weight(4.5)
+    assert grid.weight(9.0 / 2.0) is w and grid.weight(np.float64(4.5)) is w
+    assert grid.weight(3) is grid.weight(3.0)
+    assert builds == [4.5, 3.0]
+    assert np.array_equal(w, grid.bracket2 ** 2.25)
+    assert np.array_equal(landau.weight_field(grid, 4.5).values, w)
+    with pytest.raises(ValueError, match="read-only"):
+        w[0, 0, 0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        grid.radius2[0, 0, 0] = 0.0
+    # <v>^2000 overflows at the corners even in log space
+    with np.errstate(over="ignore"), pytest.raises(
+        ValueError, match="field values must be finite"
+    ):
+        grid.weight(2000.0)
+    assert builds == [4.5, 3.0]
+
+
+def test_grid_with_weights_freed_without_gc():
+    # the weight cache holds bare arrays, never fields that point back at
+    # the grid, so reference counting alone frees a grid that read weights
+    grid = landau.make_grid(16, 8.0)
+    grid.weight(4.5)
+    grid.weight(60.0)
+    landau.weight_field(grid, -6.0)
+    landau.weighted_lp_norm(landau.maxwellian(grid), 1.5, 3.0)
+    assert len(grid.__dict__["_weights"]) == 4
+    ref = weakref.ref(grid)
+    gc.disable()
+    try:
+        del grid
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def test_weighted_lp_norm_maxwellian(grid64):
     mu = landau.maxwellian(grid64)
     # second moment with unit weight: integral of <v>^2 mu = 1 + 3
@@ -95,7 +149,9 @@ def test_weighted_lp_norm_clips_negative(grid16):
 
 def test_gradient_exact_on_linear(grid16):
     g = grid16
-    vals = 2.0 * g.coords[0] - 3.0 * g.coords[1] + 0.5 * g.coords[2]
+    vx, vy, vz = g.axes
+    vals = 2.0 * vx - 3.0 * vy + 0.5 * vz
+    assert vals.shape == (16, 16, 16)
     grad = gradient_values(g, vals)
     assert np.allclose(grad[0], 2.0, atol=1e-12)
     assert np.allclose(grad[1], -3.0, atol=1e-12)

@@ -184,26 +184,47 @@ def test_minimum_principle_monitor_exact_barrier(grid16):
         landau.minimum_principle_monitor(traj, params, n_weight=-2.0)
 
 
-def test_barrier_verdict_builds_weights_once(monkeypatch):
-    # <v>^k and <v>^n are built once per verdict, whatever the snapshot count
-    data, traj = build_run("polytail", 16, 8.0, 0.05, 0.01, 1)
+@pytest.fixture(scope="module")
+def poly_run16():
+    return build_run("polytail", 16, 8.0, 0.05, 0.01, 1)
+
+
+def test_barrier_verdict_builds_weights_once(poly_run16, weight_builds):
+    # <v>^k and <v>^n are built once per grid, whatever the snapshot count
+    data, traj = poly_run16
     assert len(traj.states) == 6
+    assert all(s.f.grid is traj.grid for s in traj.states)
+    assert data.field.grid is traj.grid
     sparse = Trajectory(traj.grid, traj.states[::3], traj.records, traj.T)
-    calls = []
-    real = inequalities.weight_field
-    monkeypatch.setattr(inequalities, "weight_field",
-                        lambda grid, m: calls.append(m) or real(grid, m))
+    builds = weight_builds(traj.grid)
     for t in (traj, sparse):
-        calls.clear()
         v = barrier_verdict(t, data.field, CRITICAL, 10.0)
         assert len(v.monitor.values) == len(t.states)
-        assert len(calls) == 2
+    assert sorted(builds) == [-6.0, 10.0]
+
+
+@pytest.mark.parametrize("k", [41.0, 60.0])
+def test_barrier_verdict_holds_at_t0_for_log_space_weights(poly_run16, k):
+    # above |k| = 40 the weight is built in log space; the default a must
+    # read the same <v>^k as the monitor, so the data sit exactly on the
+    # barrier at t = 0
+    data, traj = poly_run16
+    v = barrier_verdict(traj, data.field, CRITICAL, k)
+    assert v.params.a == float(np.min(data.field.values * traj.grid.weight(k)))
+    assert v.monitor.values[0] == 0.0
+    assert v.monitor.ratios[0] == 1.0
+    assert v.hypothesis_ok
+
+
+def _coordinate_cube(grid):
+    """The (3, n, n, n) node coordinates, as the grid once cached them."""
+    return np.stack(np.meshgrid(grid.axis, grid.axis, grid.axis, indexing="ij"))
 
 
 def _old_make_corpus(grid, size, seed):
     """make_corpus as built from the (3, n, n, n) node coordinates."""
     rng = np.random.default_rng(seed)
-    coords = grid.coords
+    coords = _coordinate_cube(grid)
     fields = []
     for i in range(size):
         kind = i % 3
@@ -233,10 +254,11 @@ def _old_make_corpus(grid, size, seed):
 def _old_make_poincare_corpus(grid, size, seed):
     """make_poincare_corpus as built from the node coordinates."""
     rng = np.random.default_rng(seed)
-    coords = grid.coords
+    coords = _coordinate_cube(grid)
     amps = np.logspace(-3.0, 3.0, size) * rng.uniform(0.95, 1.05, size=size)
     cutoff = landau.build_cutoff(0.3 * grid.l)
-    radius = np.sqrt(grid.radius2)
+    radius = np.sqrt(coords[0] * coords[0] + coords[1] * coords[1]
+                     + coords[2] * coords[2])
     phi_cut = cutoff.evaluate(radius)
     phi_one = np.ones_like(radius)
     pairs = []
@@ -249,13 +271,14 @@ def _old_make_poincare_corpus(grid, size, seed):
     return pairs
 
 
-@pytest.mark.parametrize("grid_name", ["grid16", "grid48"])
+@pytest.mark.parametrize("grid_name", ["grid16", "grid32", "grid48"])
 def test_radius2_matches_coordinate_sum(request, grid_name):
     grid = request.getfixturevalue(grid_name)
     rng = np.random.default_rng(23)
+    coords = _coordinate_cube(grid)
     for center in rng.uniform(-2.0, 2.0, size=(5, 3)):
-        want = sum((grid.coords[d] - center[d]) ** 2 for d in range(3))
-        assert np.array_equal(inequalities._radius2(grid, center), want)
+        want = sum((coords[d] - center[d]) ** 2 for d in range(3))
+        assert np.array_equal(grid.radius2_about(center), want)
 
 
 @pytest.mark.parametrize("grid_name", ["grid16", "grid32"])
