@@ -361,7 +361,9 @@ def write_snapshot(path: str, f: ScalarField, t: float) -> None:
         fh.write(np.ascontiguousarray(f.values, dtype="<f8").tobytes())
 
 
-def read_snapshot(path: str) -> tuple[ScalarField, float]:
+def read_snapshot(path: str, grid: VelocityGrid | None = None) -> tuple[ScalarField, float]:
+    """The field and time in an LCF1 file; on ``grid`` when its (n, l)
+    match the file's, so equal grids share their per-node arrays."""
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < _LCF_HEADER.size or data[:4] != LCF_MAGIC:
@@ -372,7 +374,9 @@ def read_snapshot(path: str) -> tuple[ScalarField, float]:
         raise ConfigError(f"truncated snapshot: {path}")
     vals = np.frombuffer(data, dtype="<f8", offset=_LCF_HEADER.size)
     try:
-        f = ScalarField(make_grid(int(n), float(l)), vals.reshape(n, n, n).copy())
+        if grid is None or (grid.n, grid.l) != (n, l):
+            grid = make_grid(int(n), float(l))
+        f = ScalarField(grid, vals.reshape(n, n, n).copy())
     except ValueError as exc:  # odd or small n, bad l, non-finite values
         raise ConfigError(f"bad snapshot {path}: {exc}") from None
     return f, float(t)
@@ -837,8 +841,10 @@ def _cmd_diagnose(args) -> int:
     p_list, m_list = (1.5,), (4.5,)
     print(CSV_SCHEMA_LINE)
     print("file," + ",".join(diagnostics_columns(p_list, m_list)))
+    grid = None
     for path in args.snapshots:
-        f, t = read_snapshot(path)
+        f, t = read_snapshot(path, grid)
+        grid = f.grid
         state = solver.make_state(f, t)
         rec = diagnostics.record(state, p_list, m_list)
         print(f"{os.path.basename(path)}," + diagnostics_row(rec, p_list, m_list))

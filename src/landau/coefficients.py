@@ -23,15 +23,13 @@ potential is taken.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 from scipy import fft as sp_fft
 
 from . import _accel
-from .errors import ConfigError
 from .grid_field import (
     ScalarField,
     SymMatrixField,
@@ -53,15 +51,9 @@ _ODD = tuple(
 
 
 def fft_workers() -> int:
-    """Worker count for the FFT pool; LANDAU_THREADS caps it."""
-    raw = os.environ.get("LANDAU_THREADS", "").strip()
-    if raw:
-        try:
-            workers = int(raw)
-        except ValueError as exc:
-            raise ConfigError("LANDAU_THREADS must be an integer") from exc
-        return max(1, workers)
-    return -1
+    """Worker count of the FFTs, and lane count of the row slabs in
+    ``_accel``: LANDAU_THREADS if set, else the CPU affinity count."""
+    return _accel._threads()
 
 
 @lru_cache(maxsize=1)
@@ -151,10 +143,10 @@ def _forward(values: np.ndarray, m: int, workers: int) -> np.ndarray:
 
 
 def _halves(n: int):
-    """The two ranges of a doubled-grid axis, each with the octant rows
-    that hold its symbol: 0..n as stored, and n+1..2n-1 as the mirror
-    images n-1..1 (k -> 2n - k)."""
-    return (slice(0, n + 1), slice(None)), (slice(n + 1, 2 * n), slice(n - 1, 0, -1))
+    """The two ranges of a doubled-grid axis, first and stop, each with the
+    octant rows that hold its symbol: 0..n as stored, and n+1..2n-1 as the
+    mirror images n-1..1 (k -> 2n - k)."""
+    return (0, n + 1, slice(None)), (n + 1, 2 * n, slice(n - 1, 0, -1))
 
 
 # kx-planes per product block: 8 x 2n x (n+1) doubles, 0.5 MB at n = 64
@@ -166,34 +158,44 @@ def _convolutions(values: np.ndarray, symbols, parities, workers: int) -> np.nda
     (2n)^3, for each octant symbol; stacked, not scaled by h^3.
 
     values is transformed once.  On the doubled grid a symbol is its octant
-    mirrored by parity, hat[2n - k] = -hat[k] along an odd axis.  A few
-    kx-planes at a time, the octant rows are copied into a small contiguous
-    block, mirrored along ky with both parity signs applied, and the
-    spectrum planes are multiplied by that block into one reused spectrum
-    buffer, so every product runs on contiguous data.  The inverse runs
-    axis by axis in place and drops the discarded output rows after each
-    pass.
+    mirrored by parity, hat[2n - k] = -hat[k] along an odd axis.  The 2n
+    kx-planes of each product are split over the lanes of ``_accel``'s row
+    slabs, one lane per FFT worker.  A few planes at a time, a lane copies
+    the octant rows into its own small contiguous block, mirrored along ky
+    with both parity signs applied, and multiplies the spectrum planes by
+    that block into one reused spectrum buffer, so every product runs on
+    contiguous data.  The inverse runs on the caller thread, axis by axis
+    in place, and drops the discarded output rows after each pass.
     """
     n = values.shape[0]
     fhat = _forward(values, 2 * n, workers)
     spec = np.empty_like(fhat)
-    block = np.empty((_BLOCK_PLANES, 2 * n, n + 1))
+    lanes = min(workers, 2 * n)
+    blocks = np.empty((lanes, _BLOCK_PLANES, 2 * n, n + 1))
     out = np.empty((len(symbols), n, n, n))
-    for c, (odd_x, odd_y, _) in enumerate(parities):
-        sign_y = -1.0 if odd_y else 1.0
-        for (kx, ox), sign_x in zip(_halves(n), (1.0, -1.0 if odd_x else 1.0)):
-            rows, fplanes, splanes = symbols[c][ox], fhat[kx], spec[kx]
-            for i in range(0, len(rows), _BLOCK_PLANES):
-                part = rows[i : i + _BLOCK_PLANES]
-                b = block[: len(part)]
-                np.multiply(part, sign_x, out=b[:, : n + 1])
-                np.multiply(b[:, n - 1 : 0 : -1], sign_y, out=b[:, n + 1 :])
-                j = slice(i, i + len(part))
-                np.multiply(fplanes[j], b, out=splanes[j])
+    for c, parity in enumerate(parities):
+        _accel._in_slabs(partial(_products, fhat, spec, symbols[c], parity, blocks),
+                         2 * n, lanes, _BLOCK_PLANES)
         kept = sp_fft.ifft(spec, axis=1, workers=workers, overwrite_x=True)[:, :n]
         kept = sp_fft.ifft(kept, axis=0, workers=workers, overwrite_x=True)[:n]
         out[c] = sp_fft.irfft(kept, n=2 * n, axis=-1, workers=workers)[..., :n]
     return out
+
+
+def _products(fhat, spec, octant, parity, blocks, lane, lo, hi) -> None:
+    """spec = fhat * symbol on the kx-planes lo..hi-1, at most one block."""
+    n = octant.shape[0] - 1
+    odd_x, odd_y, _ = parity
+    sign_y = -1.0 if odd_y else 1.0
+    for (first, last, ox), sign_x in zip(_halves(n), (1.0, -1.0 if odd_x else 1.0)):
+        start, stop = max(lo, first), min(hi, last)
+        if start >= stop:
+            continue
+        rows = octant[ox][start - first : stop - first]
+        b = blocks[lane, : stop - start]
+        np.multiply(rows, sign_x, out=b[:, : n + 1])
+        np.multiply(b[:, n - 1 : 0 : -1], sign_y, out=b[:, n + 1 :])
+        np.multiply(fhat[start:stop], b, out=spec[start:stop])
 
 
 @dataclass(frozen=True)

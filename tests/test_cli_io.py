@@ -364,6 +364,30 @@ def test_diagnose_subcommand(tmp_path, grid8, capsys):
     assert main(["diagnose", str(tmp_path / "missing.lcf")]) == 2
 
 
+def test_diagnose_builds_each_weight_once(tmp_path, monkeypatch, capsys):
+    # equal grids across the files share one grid, so <v>^4.5 (the record's
+    # norm) and <v>^3 (its ellipticity floor) are built once each
+    grid = make_grid(16, 8.0)
+    paths = []
+    for i, scale in enumerate((1.0, 0.8, 1.3)):
+        path = str(tmp_path / f"state{i}.lcf")
+        f = landau.ScalarField(grid, scale * landau.maxwellian(grid).values)
+        write_snapshot(path, f, 0.1 * i)
+        paths.append(path)
+    builds = []
+    weight = landau.VelocityGrid.weight
+
+    def counting(self, m):
+        if float(m) not in self._weights:
+            builds.append(float(m))
+        return weight(self, m)
+
+    monkeypatch.setattr(landau.VelocityGrid, "weight", counting)
+    assert main(["diagnose", *paths]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2 + len(paths)
+    assert sorted(builds) == [3.0, 4.5]
+
+
 def test_convolve_check_subcommand(capsys):
     assert main(["convolve-check", "--n", "8", "--l", "4.0"]) == 0
     out = capsys.readouterr().out

@@ -179,7 +179,8 @@ def test_fft_workers_env(monkeypatch):
     with pytest.raises(ConfigError, match="LANDAU_THREADS must be an integer"):
         coefficients.fft_workers()
     monkeypatch.delenv("LANDAU_THREADS")
-    assert coefficients.fft_workers() == -1
+    # unset: the CPU affinity count, never scipy's -1 (all of os.cpu_count())
+    assert coefficients.fft_workers() == len(os.sched_getaffinity(0))
 
 
 def test_table_grid_mismatch(grid8, grid16, table8):
