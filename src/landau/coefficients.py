@@ -23,6 +23,7 @@ potential is taken.
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 
@@ -127,16 +128,36 @@ def _matrix_kernel(grid: VelocityGrid, comp: int, geometry) -> np.ndarray:
     return kernel
 
 
+_local = threading.local()
+
+
+def _spectra(m: int) -> np.ndarray:
+    """Two (m, m, m/2+1) complex buffers of the calling thread, the spectrum
+    of f and the product buffer of ``_convolutions``, kept from call to
+    call.  Allocated afresh on every call, their freed blocks stayed
+    resident or not depending on the heap layout, and the peak memory of
+    one and the same run moved by a spectrum or more from process to
+    process."""
+    spectra = getattr(_local, "spectra", None)
+    if spectra is None or spectra.shape[1] != m:
+        _local.spectra = None  # free the old pair before the new one
+        spectra = _local.spectra = np.empty((2, m, m, m // 2 + 1), dtype=complex)
+    return spectra
+
+
 def _forward(values: np.ndarray, m: int, workers: int) -> np.ndarray:
     """rfftn of values zero-padded to m^3, one axis at a time.
 
-    The z pass writes into a zeroed (m, m, m/2+1) spectrum; the y pass runs
-    in place on its first n planes and the x pass on the whole, so rows
-    that are zero along the later axes are never transformed (FFT pruning)
-    and no pass makes a padded copy.
+    The z pass writes into the first of the thread's spectrum buffers,
+    zeroed elsewhere; the y pass runs in place on its first n planes and
+    the x pass on the whole, so rows that are zero along the later axes are
+    never transformed (FFT pruning) and no pass makes a padded copy.  The
+    result is that buffer: the next call on this thread overwrites it.
     """
     n = values.shape[0]
-    spec = np.zeros((m, m, m // 2 + 1), dtype=complex)
+    spec = _spectra(m)[0]
+    spec[n:] = 0.0
+    spec[:n, n:] = 0.0
     spec[:n, :n] = sp_fft.rfft(values, n=m, axis=2, workers=workers)
     spec[:n] = sp_fft.fft(spec[:n], axis=1, workers=workers, overwrite_x=True)
     return sp_fft.fft(spec, axis=0, workers=workers, overwrite_x=True)
@@ -163,13 +184,13 @@ def _convolutions(values: np.ndarray, symbols, parities, workers: int) -> np.nda
     slabs, one lane per FFT worker.  A few planes at a time, a lane copies
     the octant rows into its own small contiguous block, mirrored along ky
     with both parity signs applied, and multiplies the spectrum planes by
-    that block into one reused spectrum buffer, so every product runs on
+    that block into the second spectrum buffer, so every product runs on
     contiguous data.  The inverse runs on the caller thread, axis by axis
     in place, and drops the discarded output rows after each pass.
     """
     n = values.shape[0]
     fhat = _forward(values, 2 * n, workers)
-    spec = np.empty_like(fhat)
+    spec = _spectra(2 * n)[1]
     lanes = min(workers, 2 * n)
     blocks = np.empty((lanes, _BLOCK_PLANES, 2 * n, n + 1))
     out = np.empty((len(symbols), n, n, n))
@@ -379,8 +400,9 @@ def compute_coefficients(f: ScalarField, table: KernelTable | None = None) -> Co
 
     One forward transform of f; then, per matrix component, the spectrum
     times that component's symbol goes through one reused buffer and one
-    pruned inverse into A; the spectrum and that buffer are freed before
-    the gradient below.  a[f] = tr A[f] because the kernels' traces agree
+    pruned inverse into A; the spectrum and that buffer are the thread's
+    two kept spectrum buffers, so no call allocates a spectrum after the
+    first.  a[f] = tr A[f] because the kernels' traces agree
     nodewise.  grad a is obtained by differencing the potential so
     the flux scheme sees the exact discrete identity grad_a = gradient(a).
     The ellipticity range is left to the first read of the set.
