@@ -93,8 +93,11 @@ def _lanes_and_chunk(shape) -> tuple[int, int]:
     return lanes, min(max(1, _CHUNK_NODES // max(1, plane)), -(-rows // lanes))
 
 
-def eig_range(a6: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Smallest and largest eigenvalue of a field of symmetric 3x3 matrices.
+def eig_range(
+    a6: np.ndarray, out: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest and largest eigenvalue of a field of symmetric 3x3 matrices,
+    written into the two rows of ``out`` when given.
 
     Closed-form trigonometric method; no iterative solver.  The steps run
     chunk by chunk on a few work arrays, rounding the same operands in the
@@ -103,7 +106,7 @@ def eig_range(a6: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     shape = a6.shape[1:]
     lanes, chunk = _lanes_and_chunk(shape)
-    lmin, lmax = np.empty(shape), np.empty(shape)
+    lmin, lmax = (np.empty(shape), np.empty(shape)) if out is None else out
     work = np.empty((lanes, 8, chunk) + shape[1:])
     isotropic = np.empty((lanes, chunk) + shape[1:], dtype=bool)
     _in_slabs(partial(_eig_chunk, a6, lmin, lmax, work, isotropic),

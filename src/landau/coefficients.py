@@ -18,8 +18,9 @@ the discarded output rows after each axis.  ``compute_coefficients``
 transforms f once and streams the six components, one at a time, through
 a single reused spectrum buffer, multiplied a few kx-planes at a time
 against a small contiguous block that mirrors the octant with its parity
-signs; the transform buffers are released before the gradient of the
-potential is taken.
+signs.  The two spectrum buffers are kept per thread, and a set's A, a
+and grad a go into one (10, n, n, n) array that a run reuses for every set
+it builds, so a step allocates no coefficient-sized array.
 """
 from __future__ import annotations
 
@@ -174,9 +175,12 @@ def _halves(n: int):
 _BLOCK_PLANES = 8
 
 
-def _convolutions(values: np.ndarray, symbols, parities, workers: int) -> np.ndarray:
+def _convolutions(
+    values: np.ndarray, symbols, parities, workers: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """Leading n^3 corner of irfftn(rfftn(values) * symbol), zero padding to
-    (2n)^3, for each octant symbol; stacked, not scaled by h^3.
+    (2n)^3, for each octant symbol; stacked into ``out`` (allocated when not
+    given), not scaled by h^3.
 
     values is transformed once.  On the doubled grid a symbol is its octant
     mirrored by parity, hat[2n - k] = -hat[k] along an odd axis.  The 2n
@@ -186,14 +190,16 @@ def _convolutions(values: np.ndarray, symbols, parities, workers: int) -> np.nda
     with both parity signs applied, and multiplies the spectrum planes by
     that block into the second spectrum buffer, so every product runs on
     contiguous data.  The inverse runs on the caller thread, axis by axis
-    in place, and drops the discarded output rows after each pass.
+    in place, and drops the discarded output rows after each pass; its
+    corner goes straight into its row of ``out``.
     """
     n = values.shape[0]
     fhat = _forward(values, 2 * n, workers)
     spec = _spectra(2 * n)[1]
     lanes = min(workers, 2 * n)
     blocks = np.empty((lanes, _BLOCK_PLANES, 2 * n, n + 1))
-    out = np.empty((len(symbols), n, n, n))
+    if out is None:
+        out = np.empty((len(symbols), n, n, n))
     for c, parity in enumerate(parities):
         _accel._in_slabs(partial(_products, fhat, spec, symbols[c], parity, blocks),
                          2 * n, lanes, _BLOCK_PLANES)
@@ -268,10 +274,15 @@ class CoefficientSet:
     grad_a: VectorField
     A: SymMatrixField
 
+    def ellipticity_range(self, out: np.ndarray | None = None) -> tuple[float, float]:
+        """(c0_hat, sup_A), computed afresh; ``out``, (2, n, n, n), receives
+        the per-node smallest and largest eigenvalues of A."""
+        lmin, lmax = _accel.eig_range(self.A.values, out)
+        return float(np.min(self.A.grid.weight(3.0) * lmin)), float(np.max(lmax))
+
     @cached_property
     def _ellipticity_range(self) -> tuple[float, float]:
-        lmin, lmax = _accel.eig_range(self.A.values)
-        return float(np.min(self.A.grid.weight(3.0) * lmin)), float(np.max(lmax))
+        return self.ellipticity_range()
 
     @property
     def c0_hat(self) -> float:
@@ -395,7 +406,9 @@ def spectral_vs_direct(f: ScalarField, table: KernelTable) -> dict:
     return errors
 
 
-def compute_coefficients(f: ScalarField, table: KernelTable | None = None) -> CoefficientSet:
+def compute_coefficients(
+    f: ScalarField, table: KernelTable | None = None, out: np.ndarray | None = None
+) -> CoefficientSet:
     """Potential a[f], its gradient and diffusion matrix A[f].
 
     One forward transform of f; then, per matrix component, the spectrum
@@ -406,6 +419,11 @@ def compute_coefficients(f: ScalarField, table: KernelTable | None = None) -> Co
     nodewise.  grad a is obtained by differencing the potential so
     the flux scheme sees the exact discrete identity grad_a = gradient(a).
     The ellipticity range is left to the first read of the set.
+
+    The set is written into one (10, n, n, n) array, A in rows 0..5, a in
+    row 6 and grad a in rows 7..9, and views it: ``out`` when given (a run
+    passes the same array for every set it builds, and a set lives until
+    the next is written), else a fresh one.
     """
     grid = f.grid
     mass = grid.cell_volume() * float(np.sum(f.values))
@@ -414,11 +432,15 @@ def compute_coefficients(f: ScalarField, table: KernelTable | None = None) -> Co
     if table is None:
         table = kernel_table_for(grid)
     _check_table_grid(table, grid)
-    a6 = _convolutions(f.values, table.symbols, _ODD, fft_workers())
+    if out is None:
+        out = np.empty((10,) + f.values.shape)
+    a6, a_vals, grad_a = out[:6], out[6], out[7:]
+    _convolutions(f.values, table.symbols, _ODD, fft_workers(), out=a6)
     a6 *= grid.cell_volume()
-    a_vals = a6[0] + a6[1] + a6[2]
+    np.add(a6[0], a6[1], out=a_vals)
+    a_vals += a6[2]
     return CoefficientSet(
         a=ScalarField(grid, a_vals),
-        grad_a=VectorField(grid, gradient_values(grid, a_vals)),
+        grad_a=VectorField(grid, gradient_values(grid, a_vals, out=grad_a)),
         A=SymMatrixField(grid, a6),
     )

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid_field import ScalarField, gradient_values, weighted_lp_norm
+from .grid_field import ScalarField, gradient_values, squared_norm, weighted_lp_norm
 
 
 @dataclass(frozen=True)
@@ -54,26 +54,26 @@ def record(
             t=t, mass=0.0, momentum=(0.0, 0.0, 0.0), energy=0.0, entropy=0.0,
             fisher=0.0, fisher_sqrt_form=0.0, linf=0.0,
             lp_norms={(p, m): 0.0 for p in p_list for m in m_list},
-            c0_hat=state.coeffs.c0_hat, sup_A=state.coeffs.sup_A,
-            degenerate=True,
+            c0_hat=state.c0_hat, sup_A=state.sup_A, degenerate=True,
         )
 
     mass, momentum, energy = moments(grid, fv)
-    pos = fv > 0.0
-    entropy = vol * float(np.sum(fv[pos] * np.log(fv[pos])))
+    fpos = fv[fv > 0.0]
+    entropy = vol * float(np.sum(fpos * np.log(fpos)))
+    del fpos
 
-    g = gradient_values(grid, fv)
-    grad2 = g[0] ** 2 + g[1] ** 2 + g[2] ** 2
+    grad2 = squared_norm(gradient_values(grid, fv))
     live = fv > f_floor
     fisher = vol * float(np.sum(grad2[live] / fv[live]))
+    del grad2, live  # not alive at the second gradient
     gs = gradient_values(grid, np.sqrt(np.maximum(fv, 0.0)))
-    fisher_sqrt = 4.0 * vol * float(np.sum(gs[0] ** 2 + gs[1] ** 2 + gs[2] ** 2))
+    fisher_sqrt = 4.0 * vol * float(np.sum(squared_norm(gs)))
 
     lp = {(p, m): weighted_lp_norm(f, p, m) for p in p_list for m in m_list}
     return DiagnosticsRecord(
         t=t, mass=mass, momentum=momentum, energy=energy, entropy=entropy,
         fisher=fisher, fisher_sqrt_form=fisher_sqrt, linf=float(np.max(fv)),
-        lp_norms=lp, c0_hat=state.coeffs.c0_hat, sup_A=state.coeffs.sup_A,
+        lp_norms=lp, c0_hat=state.c0_hat, sup_A=state.sup_A,
     )
 
 
@@ -99,8 +99,7 @@ def _excess_integrals(grid, values, p: float, m: float):
         return 0.0, 0.0
     vol = grid.cell_volume()
     a_val = vol * float(np.sum(grid.weight(m) * values ** p))
-    ge = gradient_values(grid, values ** (0.5 * p))
-    grad2 = ge[0] ** 2 + ge[1] ** 2 + ge[2] ** 2
+    grad2 = squared_norm(gradient_values(grid, values ** (0.5 * p)))
     b_val = vol * float(np.sum(grid.weight(m - 3.0) * grad2))
     return a_val, b_val
 

@@ -146,9 +146,39 @@ def weighted_lp_norm(f: ScalarField, p: float, m: float) -> float:
     return float((vol * np.sum(f.grid.weight(m) * vals ** p)) ** (1.0 / p))
 
 
-def gradient_values(grid: VelocityGrid, values: np.ndarray) -> np.ndarray:
-    """Second-order central differences, one-sided second order at the boundary."""
-    return np.stack(np.gradient(values, grid.h, edge_order=2))
+def gradient_values(
+    grid: VelocityGrid, values: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Second-order central differences, one-sided second order at the
+    boundary, as one (3, n, n, n) array, written into ``out`` when given.
+
+    Each axis runs the operations of np.gradient(values, h, edge_order=2)
+    in the same order, so the result is the same bit for bit, without its
+    three per-axis arrays and the copy that stacks them.
+    """
+    h = grid.h
+    if out is None:
+        out = np.empty((3,) + values.shape)
+    for d in range(3):
+        f, g = np.moveaxis(values, d, 0), np.moveaxis(out[d], d, 0)
+        np.subtract(f[2:], f[:-2], out=g[1:-1])
+        g[1:-1] /= 2.0 * h
+        np.multiply(f[0], -1.5 / h, out=g[0])
+        g[0] += (2.0 / h) * f[1]
+        g[0] += (-0.5 / h) * f[2]
+        np.multiply(f[-3], 0.5 / h, out=g[-1])
+        g[-1] += (-2.0 / h) * f[-2]
+        g[-1] += (1.5 / h) * f[-1]
+    return out
+
+
+def squared_norm(g: np.ndarray) -> np.ndarray:
+    """(g0^2 + g1^2) + g2^2 of a (3, ...) array, squaring g in place: g is
+    overwritten and the result is a view of g[0]."""
+    np.square(g, out=g)
+    g[0] += g[1]
+    g[0] += g[2]
+    return g[0]
 
 
 def gradient(f: ScalarField) -> VectorField:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HypothesisError
-from .grid_field import ScalarField, VelocityGrid, gradient_values
+from .grid_field import ScalarField, VelocityGrid, gradient_values, squared_norm
 
 # sharp constant in (integral u^6)^(1/3) <= C integral |grad u|^2 on R^3
 SOBOLEV_CONSTANT = (2.0 / math.pi) ** (4.0 / 3.0) / 3.0
@@ -145,8 +145,8 @@ def check_weighted_sobolev(
         vol = grid.cell_volume()
         fv = f.values
         w_top, w_mid, w_grad = map(grid.weight, (3.0 * k - 9.0, k - 5.0, k - 3.0))
-        g = gradient_values(grid, fv)
-        rhs = vol * float(np.sum(w_grad * (g[0] ** 2 + g[1] ** 2 + g[2] ** 2)))
+        g2 = squared_norm(gradient_values(grid, fv))
+        rhs = vol * float(np.sum(w_grad * g2))
         if rhs <= 0.0:
             continue  # constant sample, degenerate
         lhs1 = (vol * float(np.sum(w_top * fv ** 6))) ** (1.0 / 3.0)
@@ -185,9 +185,8 @@ def check_interpolation(
         fvp = fv ** p
         masses = [vol * float(np.sum(grid.weight(m) * fvp)) for m in ms]
         del fvp  # not alive at the gradient, which sets the working-set peak
-        g = gradient_values(grid, fv ** (0.5 * p))
-        w_g = grid.weight(k - 3.0)
-        grad = vol * float(np.sum(w_g * (g[0] ** 2 + g[1] ** 2 + g[2] ** 2)))
+        g2 = squared_norm(gradient_values(grid, fv ** (0.5 * p)))
+        grad = vol * float(np.sum(grid.weight(k - 3.0) * g2))
         for q, mass, out in zip(qs, masses, ratios):
             if mass <= 0.0 or grad <= 0.0:
                 continue
@@ -233,8 +232,8 @@ def check_eps_poincare(
         pv = phi.values
         wpp = w92 * pv * pv
         lhs = vol * float(np.sum(wpp * gv ** (p + 1.0)))
-        grad = gradient_values(grid, pv * gv ** (0.5 * p))
-        gterm = vol * float(np.sum(w32 * (grad[0] ** 2 + grad[1] ** 2 + grad[2] ** 2)))
+        grad2 = squared_norm(gradient_values(grid, pv * gv ** (0.5 * p)))
+        gterm = vol * float(np.sum(w32 * grad2))
         gp = gv ** p
         mterm = vol * float(np.sum(wpp * gp))
         nq = vol * float(np.sum(w92 * (gp if q == p else gv ** q)))

@@ -5,6 +5,12 @@ arithmetic face averaging, differenced back onto cells.  The divergence is
 the exact adjoint of the face difference, so total mass telescopes to
 round-off every step.  Heun two-stage stepping with a parabolic CFL bound;
 the nonlocal coefficients are rebuilt at each stage.
+
+A state keeps its flux divergence, the first stage of the next step, and
+the three scalars of its coefficient set that the step bound and the
+diagnostics read, but not the set.  So no two sets are ever alive at once,
+and a run writes every set, and every gradient of f, into one
+``Workspace`` it allocates at the start.
 """
 from __future__ import annotations
 
@@ -16,13 +22,7 @@ import numpy as np
 from . import _accel, diagnostics
 from .coefficients import CoefficientSet, compute_coefficients
 from .errors import NumericError, StiffnessError
-from .grid_field import (
-    ScalarField,
-    SymMatrixField,
-    VectorField,
-    VelocityGrid,
-    gradient_values,
-)
+from .grid_field import ScalarField, VelocityGrid, gradient_values, squared_norm
 
 
 @dataclass(frozen=True)
@@ -43,56 +43,84 @@ class StepControl:
 
 @dataclass(frozen=True)
 class SimulationState:
+    """f at time t, with what later steps and records read of its
+    coefficient set: ``rhs``, the flux divergence at f with f's own
+    coefficients (the next step's first stage), the ellipticity range
+    ``c0_hat`` and ``sup_A``, and ``grad_a_max`` = max over nodes of
+    |grad a|."""
+
     f: ScalarField
     t: float
-    coeffs: CoefficientSet
+    rhs: np.ndarray
+    c0_hat: float
+    sup_A: float
+    grad_a_max: float
     step_count: int = 0
     undershoot: float = 0.0
     clipped_mass: float = 0.0
 
 
-def _zero_coefficients(grid: VelocityGrid) -> CoefficientSet:
-    z = np.zeros((grid.n,) * 3)
-    return CoefficientSet(
-        a=ScalarField(grid, z),
-        grad_a=VectorField(grid, np.zeros((3,) + z.shape)),
-        A=SymMatrixField(grid, np.zeros((6,) + z.shape)),
-    )
+@dataclass(frozen=True)
+class Workspace:
+    """The arrays a coefficient set and the gradient of f are written into:
+    A, a and grad a as one (10, n, n, n) array (``compute_coefficients``'s
+    ``out``) and grad f as (3, n, n, n)."""
+
+    coefficients: np.ndarray
+    gradient: np.ndarray
+
+    @classmethod
+    def for_grid(cls, grid: VelocityGrid) -> Workspace:
+        shape = (grid.n,) * 3
+        return cls(np.empty((10,) + shape), np.empty((3,) + shape))
 
 
-def _coefficients_for(grid: VelocityGrid, values: np.ndarray) -> CoefficientSet:
-    # the identically-zero state has no dynamics and no ellipticity
-    if not np.any(values):
-        return _zero_coefficients(grid)
-    return compute_coefficients(ScalarField(grid, values))
+def _coefficients(f: ScalarField, work: Workspace) -> CoefficientSet | None:
+    # the identically-zero field has no dynamics and no set
+    return compute_coefficients(f, out=work.coefficients) if np.any(f.values) else None
 
 
-def make_state(f: ScalarField, t: float = 0.0) -> SimulationState:
-    undershoot = max(0.0, -float(np.min(f.values)))
-    return SimulationState(
-        f=f,
-        t=float(t),
-        coeffs=_coefficients_for(f.grid, f.values),
-        undershoot=undershoot,
-    )
-
-
-def _rhs(grid: VelocityGrid, values: np.ndarray, coeffs: CoefficientSet) -> np.ndarray:
+def _rhs(f: ScalarField, coeffs: CoefficientSet | None, work: Workspace) -> np.ndarray:
+    """Flux divergence at f with the coefficient set coeffs."""
+    if coeffs is None:
+        return np.zeros_like(f.values)
     return _accel.div_flux(
-        values,
-        gradient_values(grid, values),
+        f.values,
+        gradient_values(f.grid, f.values, out=work.gradient),
         coeffs.A.values,
         coeffs.grad_a.values,
-        grid.h,
+        f.grid.h,
     )
+
+
+def _state(f: ScalarField, t: float, work: Workspace, **history) -> SimulationState:
+    coeffs = _coefficients(f, work)
+    if coeffs is None:
+        return SimulationState(f, t, _rhs(f, None, work), 0.0, 0.0, 0.0, **history)
+    # the ellipticity range first, whose work arrays set the peak of a
+    # step: the rhs is not alive yet, and the eigenvalues go into the
+    # gradient buffer that the rhs fills next
+    c0_hat, sup_A = coeffs.ellipticity_range(out=work.gradient[:2])
+    rhs = _rhs(f, coeffs, work)
+    # grad a is not read again: the norm squares it in place
+    grad_a_max = math.sqrt(float(np.max(squared_norm(coeffs.grad_a.values))))
+    return SimulationState(f, t, rhs, c0_hat, sup_A, grad_a_max, **history)
+
+
+def make_state(
+    f: ScalarField, t: float = 0.0, work: Workspace | None = None
+) -> SimulationState:
+    """The state of f at t; ``work`` is the run's workspace, else a fresh
+    one is used and dropped."""
+    undershoot = max(0.0, -float(np.min(f.values)))
+    return _state(f, float(t), work or Workspace.for_grid(f.grid),
+                  undershoot=undershoot)
 
 
 def stable_dt(state: SimulationState, control: StepControl) -> float:
     """Parabolic step bound cfl h^2 / (6 sup_A + h max|grad a|)."""
     grid = state.f.grid
-    ga = state.coeffs.grad_a.values
-    gmax = math.sqrt(float(np.max(ga[0] ** 2 + ga[1] ** 2 + ga[2] ** 2)))
-    denom = 6.0 * state.coeffs.sup_A + grid.h * gmax
+    denom = 6.0 * state.sup_A + grid.h * state.grad_a_max
     if denom <= 0.0:
         return control.dt_max  # no dynamics
     dt = control.cfl * grid.h * grid.h / denom
@@ -105,23 +133,29 @@ def stable_dt(state: SimulationState, control: StepControl) -> float:
 
 
 def step(
-    state: SimulationState, control: StepControl, dt_limit: float | None = None
+    state: SimulationState,
+    control: StepControl,
+    dt_limit: float | None = None,
+    work: Workspace | None = None,
 ) -> SimulationState:
-    """One Heun step; dt_limit trims the step (used to land exactly on T)."""
+    """One Heun step; dt_limit trims the step (used to land exactly on T).
+    ``work`` is the run's workspace, else a fresh one is used and dropped."""
     grid = state.f.grid
     dt = stable_dt(state, control)
     if dt_limit is not None:
         dt = min(dt, dt_limit)
     if not (math.isfinite(dt) and dt > 0.0):
         raise NumericError("no finite positive time step available")
+    work = work or Workspace.for_grid(grid)
 
     f0 = state.f.values
-    k1 = _rhs(grid, f0, state.coeffs)
+    k1 = state.rhs
     f1 = f0 + dt * k1
-    # the stage set dies here, before the new state's set is built
-    k2 = _rhs(grid, f1, _coefficients_for(grid, f1))
+    # the stage set is written over by the new state's set
+    stage = ScalarField(grid, f1)
+    k2 = _rhs(stage, _coefficients(stage, work), work)
     f2 = f0 + 0.5 * dt * (k1 + k2)
-    del f1, k1, k2  # not live while the new state's set is built
+    del f1, stage, k2
 
     if not np.all(np.isfinite(f2)):
         raise NumericError(f"solution lost finiteness at t={state.t + dt:.6g}")
@@ -136,10 +170,10 @@ def step(
         if pos_total > 0.0 and total > 0.0:
             f2 = f2 * (total / pos_total)
 
-    return SimulationState(
-        f=ScalarField(grid, f2),
-        t=state.t + dt,
-        coeffs=_coefficients_for(grid, f2),
+    return _state(
+        ScalarField(grid, f2),
+        state.t + dt,
+        work,
         step_count=state.step_count + 1,
         undershoot=undershoot,
         clipped_mass=clipped,
@@ -181,8 +215,9 @@ def run(
         raise ValueError("initial data must be nonnegative")
     control = control or StepControl()
 
-    state = make_state(f_in, 0.0)
     grid = f_in.grid
+    work = Workspace.for_grid(grid)  # freed when the run returns
+    state = make_state(f_in, 0.0, work)
     records = [diagnostics.record(state, p_list, m_list, f_floor)]
     snaps = []
     if snapshot_every is not None:
@@ -191,7 +226,7 @@ def run(
     t_end = T * (1.0 - 1e-12)
     while state.t < t_end:
         try:
-            state = step(state, control, dt_limit=T - state.t)
+            state = step(state, control, dt_limit=T - state.t, work=work)
         except NumericError as exc:
             exc.last_state = state  # state dump for post-mortem
             raise

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import landau
-from landau.grid_field import gradient_values, laplacian_values
+from landau.grid_field import gradient_values, laplacian_values, squared_norm
 
 from oracle_values import LP_1_5_M_4_5_MU, MASS_MU_N16, MASS_MU_N64
 
@@ -156,6 +156,31 @@ def test_gradient_exact_on_linear(grid16):
     assert np.allclose(grad[0], 2.0, atol=1e-12)
     assert np.allclose(grad[1], -3.0, atol=1e-12)
     assert np.allclose(grad[2], 0.5, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [8, 10, 34])
+def test_gradient_stencil_bit_identical_to_numpy(n):
+    # the direct stencil runs np.gradient's operations in its order, so the
+    # bits agree, also when written into a given array
+    g = landau.make_grid(n, 6.0)
+    vx, vy, vz = g.axes
+    rng = np.random.default_rng(n)
+    linear = np.broadcast_to(2.0 * vx - 3.0 * vy + 0.5 * vz, (n,) * 3)
+    for vals in (rng.standard_normal((n,) * 3), np.ascontiguousarray(linear)):
+        want = np.stack(np.gradient(vals, g.h, edge_order=2)).view(np.uint64)
+        assert np.array_equal(gradient_values(g, vals).view(np.uint64), want)
+        out = np.full((3,) + vals.shape, np.nan)
+        assert gradient_values(g, vals, out=out) is out
+        assert np.array_equal(out.view(np.uint64), want)
+
+
+def test_squared_norm_in_place_bit_identical(grid16):
+    rng = np.random.default_rng(3)
+    grad = rng.standard_normal((3, 16, 16, 16))
+    want = (grad[0] ** 2 + grad[1] ** 2 + grad[2] ** 2).view(np.uint64)
+    got = squared_norm(grad)
+    assert np.shares_memory(got, grad)
+    assert np.array_equal(got.view(np.uint64), want)
 
 
 def test_gradient_field_wrapper(grid16):

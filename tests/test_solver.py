@@ -1,4 +1,6 @@
 """Flux assembly, conservation, step control, and the run loop."""
+import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -9,7 +11,7 @@ from landau import _accel
 from landau.coefficients import CoefficientSet
 from landau.errors import StiffnessError
 from landau.grid_field import gradient_values
-from landau.solver import StepControl, make_state, stable_dt, step
+from landau.solver import StepControl, Workspace, make_state, stable_dt, step
 
 
 # symmetric component of A for each (axis, axis) pair: xx yy zz xy xz yz
@@ -100,9 +102,9 @@ def test_rhs_cell_sum_telescopes(grid16):
 def test_divergence_matches_fused_kernel(grid16):
     # the explicit face assembly and the production kernel must agree
     mu = landau.maxwellian(grid16)
-    state = make_state(mu)
+    coeffs = landau.compute_coefficients(make_state(mu).f)
     g = gradient_values(grid16, mu.values)
-    a6, ga = state.coeffs.A.values, state.coeffs.grad_a.values
+    a6, ga = coeffs.A.values, coeffs.grad_a.values
     ref = reference_div_flux(mu.values, g, a6, ga, grid16.h)
     fused = _accel.div_flux(mu.values, g, a6, ga, grid16.h)
     scale = float(np.max(np.abs(ref)))
@@ -127,9 +129,9 @@ def test_identity_coefficients_give_heat_flux(grid16):
 def test_zero_field_fixed_point(grid16):
     f = landau.ScalarField(grid16, np.zeros((16, 16, 16)))
     state = make_state(f)
-    # derived from the all-zero A
-    assert state.coeffs.c0_hat == 0.0
-    assert state.coeffs.sup_A == 0.0
+    # the all-zero field has no coefficient set and no ellipticity
+    assert state.c0_hat == 0.0
+    assert state.sup_A == 0.0
     control = StepControl(cfl=0.5, dt_min=1e-9, dt_max=0.25)
     # no dynamics: the step falls back to dt_max and nothing moves
     assert stable_dt(state, control) == 0.25
@@ -145,9 +147,9 @@ def test_maxwellian_near_stationary():
     for n in (16, 32):
         g = landau.make_grid(n, 8.0)
         mu = landau.maxwellian(g)
-        st = make_state(mu)
+        coeffs = landau.compute_coefficients(make_state(mu).f)
         rhs = _accel.div_flux(mu.values, gradient_values(g, mu.values),
-                              st.coeffs.A.values, st.coeffs.grad_a.values, g.h)
+                              coeffs.A.values, coeffs.grad_a.values, g.h)
         l2[n] = float(np.sqrt(np.mean(rhs**2)))
         rel_rate = float(np.max(np.abs(rhs))) / float(mu.values.max())
         assert rel_rate <= 1e-2
@@ -157,9 +159,10 @@ def test_maxwellian_near_stationary():
 def test_stable_dt_formula(grid16):
     state = make_state(landau.maxwellian(grid16))
     control = StepControl(cfl=0.4, dt_min=1e-9, dt_max=10.0)
-    ga = state.coeffs.grad_a.values
+    coeffs = landau.compute_coefficients(state.f)
+    ga = coeffs.grad_a.values
     gmax = np.sqrt(float(np.max(ga[0] ** 2 + ga[1] ** 2 + ga[2] ** 2)))
-    expected = 0.4 * grid16.h**2 / (6.0 * state.coeffs.sup_A + grid16.h * gmax)
+    expected = 0.4 * grid16.h**2 / (6.0 * coeffs.sup_A + grid16.h * gmax)
     assert stable_dt(state, control) == pytest.approx(expected, rel=1e-14)
     # dt_max clamps from above
     tight = StepControl(cfl=0.4, dt_min=1e-9, dt_max=1e-3)
@@ -225,14 +228,15 @@ def test_run_lands_exactly_on_T(grid16):
 
 
 def test_eig_range_once_per_recorded_state(grid16, monkeypatch):
-    # the ellipticity range is read by diagnostics.record and stable_dt on
-    # recorded states only; Heun-stage coefficient sets never compute it
+    # the ellipticity range is computed once per state, when it is built,
+    # and read by diagnostics.record and stable_dt; Heun-stage coefficient
+    # sets never compute it
     calls = []
     eig_range = _accel.eig_range
 
-    def counting(a6):
+    def counting(a6, out=None):
         calls.append(1)
-        return eig_range(a6)
+        return eig_range(a6, out)
 
     monkeypatch.setattr(_accel, "eig_range", counting)
     control = StepControl(cfl=0.5, dt_min=1e-9, dt_max=0.01)
@@ -244,9 +248,10 @@ def test_eig_range_once_per_recorded_state(grid16, monkeypatch):
 
 
 def test_step_releases_stage_coefficients(grid16):
-    # a coefficient set holds 10 n^3 doubles (a, grad a, A); with the Heun
-    # stage's set released before the new state's set is built, one step
-    # peaks near 34 n^3 doubles, against 44 with the stage set alive
+    # a coefficient set holds 10 n^3 doubles (a, grad a, A); a step without
+    # the run's workspace allocates one workspace (13 n^3) for both of its
+    # sets and peaks near 22.5 n^3 doubles, against 44 when the stage set
+    # was alive while the new state's set was built
     state = make_state(landau.maxwellian(grid16))
     control = StepControl()
     step(state, control)  # warms the kernel table and state's ellipticity range
@@ -257,3 +262,42 @@ def test_step_releases_stage_coefficients(grid16):
     finally:
         tracemalloc.stop()
     assert peak < 40 * grid16.n ** 3 * 8
+
+
+def test_state_keeps_its_rhs_not_its_coefficients(grid16):
+    # a state holds the flux divergence at f with f's own coefficients and
+    # three scalars of that set, each the same bits as from a fresh set
+    vals = landau.maxwellian(grid16).values * (1.0 + 0.5 * grid16.axes[0] ** 2 / 64.0)
+    first = make_state(landau.ScalarField(grid16, vals))
+    later = step(first, StepControl(cfl=0.5, dt_max=0.05))
+    for state in (first, later):
+        held = [getattr(state, f.name) for f in dataclasses.fields(state)]
+        assert not any(isinstance(v, CoefficientSet) for v in held)
+        c = landau.compute_coefficients(state.f)
+        fv = state.f.values
+        want = _accel.div_flux(fv, gradient_values(grid16, fv), c.A.values,
+                               c.grad_a.values, grid16.h)
+        assert np.array_equal(state.rhs.view(np.uint64), want.view(np.uint64))
+        ga = c.grad_a.values
+        assert state.grad_a_max == math.sqrt(
+            float(np.max(ga[0] ** 2 + ga[1] ** 2 + ga[2] ** 2)))
+        assert (state.c0_hat, state.sup_A) == (c.c0_hat, c.sup_A)
+
+
+def test_warm_step_allocates_no_coefficient_set(grid32):
+    # with the run's workspace, a step writes both of its coefficient sets
+    # into that one array.  The stage set used to be allocated inside the
+    # step: its warm peak was 19.6 n^3 doubles at n = 32, and this bound is
+    # that figure less one set of 10 n^3
+    n = grid32.n
+    work = Workspace.for_grid(grid32)
+    state = make_state(landau.maxwellian(grid32), 0.0, work)
+    control = StepControl()
+    step(state, control, work=work)  # warms the kernel table and spectra
+    tracemalloc.start()
+    try:
+        step(state, control, work=work)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 9.6 * n ** 3 * 8
