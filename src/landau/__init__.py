@@ -67,6 +67,8 @@ from .inequalities import (
     check_eps_poincare,
     check_interpolation,
     check_weighted_sobolev,
+    iter_corpus,
+    iter_poincare_corpus,
     make_corpus,
     make_poincare_corpus,
     minimum_principle_monitor,

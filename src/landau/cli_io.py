@@ -32,10 +32,12 @@ from .inequalities import (
     barrier_verdict,
     build_cutoff,
     check_eps_poincare,
-    check_interpolation,
-    check_weighted_sobolev,
-    make_corpus,
-    make_poincare_corpus,
+    interpolation_ratios,
+    interpolation_reports,
+    iter_corpus,
+    iter_poincare_corpus,
+    sobolev_ratio,
+    sobolev_report,
 )
 
 _FAMILIES = ("maxwellian", "bimaxwellian", "polytail", "mixture")
@@ -565,10 +567,15 @@ def write_run_plots(outdir: str, t, linf, fisher, entropy) -> None:
 # experiment driver
 
 
-# n^3 arrays of doubles live at a step's peak: the padded spectrum of f and
-# its product buffer, A, the state's coefficient set, f and the step's
-# stages (traced bimaxwellian runs: 44.2, 43.5 and 43.3 at n = 32/48/64)
-_STEP_ARRAYS = 44
+# n^3 arrays of doubles live at a run's peak, the ellipticity range of a
+# step's new state: the spectrum pair of the coefficient transforms (16,
+# kept per thread), the run's Workspace (13: A, a, grad a and grad f), the
+# chunk scratch of eig_range (8 at n <= 32, where its 2 MB per lane spans
+# the grid; 2 at n = 64), the run's input, the old state's f and rhs and
+# the new f (4), and the grid's |v|^2, 1 + |v|^2 and two record weights
+# (4).  Traced cold 3-step bimaxwellian runs, table excluded: 47.0, 46.1,
+# 42.2 and 41.4 at n = 24/32/48/64.
+_STEP_ARRAYS = 48
 
 
 def _estimated_peak_bytes(n: int) -> int:
@@ -789,17 +796,21 @@ def _inequality_checks(grid: VelocityGrid, size: int, seed: int, outdir: str,
 
 
 def run_inequality_suite(grid: VelocityGrid, size: int, seed: int):
-    """The fixed panel of inequality reports used by the CLI."""
-    corpus = make_corpus(grid, size, seed)
-    reports = [
-        check_weighted_sobolev(corpus, 4.5, seed),
-        *check_interpolation(corpus, 1.5, (2.5, 13.0 / 6.0), 4.5, seed),
-    ]
-    del corpus  # no later report reads it: free it before the pairs exist
-    pairs = make_poincare_corpus(grid, size, seed)
+    """The fixed panel of inequality reports used by the CLI.
+
+    One pass over each corpus: every sample feeds the Sobolev ratio and
+    both interpolation ratios, then is dropped, and the Poincare pairs
+    stream into their check, so the panel holds one sample at a time."""
+    qs = (2.5, 13.0 / 6.0)
+    rows = [(sobolev_ratio(f, 4.5), interpolation_ratios(f, 1.5, qs, 4.5))
+            for f in iter_corpus(grid, size, seed)]
+    pairs = iter_poincare_corpus(grid, size, seed)
     eps_grid = np.logspace(-2.0, 0.0, 7)
-    reports.append(check_eps_poincare(pairs, 2.0, eps_grid, 2.0, seed))
-    return reports
+    return [
+        sobolev_report(4.5, [s for s, _ in rows], seed),
+        *interpolation_reports(1.5, qs, 4.5, [i for _, i in rows], seed),
+        check_eps_poincare(pairs, 2.0, eps_grid, 2.0, seed),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -860,7 +871,8 @@ def _cmd_verify_inequalities(args) -> int:
                                 args.out, "")
     gap = abs(build_cutoff(1.0).c_hat - build_cutoff(10.0).c_hat)
     checks.append(("cutoff_scale_invariance", gap <= 1e-10,
-                   f"|C(R=1) - C(R=10)| = {gap:.3e} (tol 1e-10)"))
+                   f"|C(R=1) - C(R=10)| = {gap:.3e} (tol 1e-10; 0 by "
+                   f"construction: c_hat depends on r/R only)"))
     header = (f"inequality suite: n={args.n} l={_fmt(args.l)} size={args.size} "
               f"seed={args.seed}")
     return _finish(args.out, [header], checks)

@@ -7,6 +7,7 @@ halves.  Corpora are seeded and recorded so reports are reproducible.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,96 +69,127 @@ def report_from_ratios(name, ratios, seed, notes="", extra_pass=True) -> Inequal
 
 # ---------------------------------------------------------------------------
 # corpora
+#
+# Each corpus is a seeded generator that yields one sample at a time, so a
+# caller that checks and drops each sample holds one sample, not the corpus.
+# The list builders are the same draws collected.
+
+
+def iter_corpus(grid: VelocityGrid, size: int, seed: int) -> Iterator[ScalarField]:
+    """Seeded corpus of smooth decaying fields: Gaussians, mixtures, tails."""
+    rng = np.random.default_rng(seed)
+    for i in range(size):
+        yield _corpus_field(grid, rng, i % 3)
+
+
+def _corpus_field(grid: VelocityGrid, rng: np.random.Generator, kind: int) -> ScalarField:
+    # a function of its own, so no temporary of a sample stays bound in the
+    # generator's frame while the caller checks the sample
+    amp = 10.0 ** rng.uniform(-1.0, 1.0)
+    if kind == 0:
+        center = rng.uniform(-1.5, 1.5, size=3)
+        width = rng.uniform(0.4, 1.6)
+        r2 = grid.radius2_about(center)
+        vals = amp * np.exp(-0.5 * r2 / width ** 2)
+    elif kind == 1:
+        vals = np.zeros((grid.n,) * 3)
+        for _ in range(int(rng.integers(2, 4))):
+            center = rng.uniform(-1.5, 1.5, size=3)
+            width = rng.uniform(0.4, 1.2)
+            w = rng.uniform(0.2, 1.0)
+            r2 = grid.radius2_about(center)
+            vals = vals + amp * w * np.exp(-0.5 * r2 / width ** 2)
+    else:
+        center = rng.uniform(-1.0, 1.0, size=3)
+        k_tail = rng.uniform(6.0, 12.0)
+        r2 = grid.radius2_about(center)
+        vals = amp * (1.0 + r2) ** (-0.5 * k_tail)
+    return ScalarField(grid, vals)
 
 
 def make_corpus(grid: VelocityGrid, size: int, seed: int) -> list[ScalarField]:
-    """Seeded corpus of smooth decaying fields: Gaussians, mixtures, tails."""
+    """The whole of ``iter_corpus(grid, size, seed)`` as a list."""
+    return list(iter_corpus(grid, size, seed))
+
+
+def iter_poincare_corpus(
+    grid: VelocityGrid, size: int, seed: int
+) -> Iterator[tuple[ScalarField, ScalarField]]:
+    """Seeded (g, phi) pairs with amplitudes stratified over six decades.
+
+    The stratification makes the corpus envelope trace the epsilon power
+    law of the split instead of a single sample's linear cutoff.  Every
+    pair shares one of two phi fields: the cutoff at R = 0.3 l, or 1.
+    """
     rng = np.random.default_rng(seed)
-    fields = []
+    amps = np.logspace(-3.0, 3.0, size) * rng.uniform(0.95, 1.05, size=size)
+    phi_cut = ScalarField(grid, build_cutoff(0.3 * grid.l).evaluate(np.sqrt(grid.radius2)))
+    phi_one = ScalarField(grid, np.ones((grid.n,) * 3))
     for i in range(size):
-        kind = i % 3
-        amp = 10.0 ** rng.uniform(-1.0, 1.0)
-        if kind == 0:
-            center = rng.uniform(-1.5, 1.5, size=3)
-            width = rng.uniform(0.4, 1.6)
-            r2 = grid.radius2_about(center)
-            vals = amp * np.exp(-0.5 * r2 / width ** 2)
-        elif kind == 1:
-            vals = np.zeros((grid.n,) * 3)
-            for _ in range(int(rng.integers(2, 4))):
-                center = rng.uniform(-1.5, 1.5, size=3)
-                width = rng.uniform(0.4, 1.2)
-                w = rng.uniform(0.2, 1.0)
-                r2 = grid.radius2_about(center)
-                vals = vals + amp * w * np.exp(-0.5 * r2 / width ** 2)
-        else:
-            center = rng.uniform(-1.0, 1.0, size=3)
-            k_tail = rng.uniform(6.0, 12.0)
-            r2 = grid.radius2_about(center)
-            vals = amp * (1.0 + r2) ** (-0.5 * k_tail)
-        fields.append(ScalarField(grid, vals))
-    return fields
+        center = rng.normal(0.0, 0.1, size=3)
+        width = rng.uniform(0.9, 1.1)
+        g = amps[i] * np.exp(-0.5 * grid.radius2_about(center) / width ** 2)
+        yield ScalarField(grid, g), (phi_cut if i % 2 else phi_one)
 
 
 def make_poincare_corpus(
     grid: VelocityGrid, size: int, seed: int
 ) -> list[tuple[ScalarField, ScalarField]]:
-    """Seeded (g, phi) pairs with amplitudes stratified over six decades.
-
-    The stratification makes the corpus envelope trace the epsilon power
-    law of the split instead of a single sample's linear cutoff.
-    """
-    rng = np.random.default_rng(seed)
-    amps = np.logspace(-3.0, 3.0, size) * rng.uniform(0.95, 1.05, size=size)
-    cutoff = build_cutoff(0.3 * grid.l)
-    radius = np.sqrt(grid.radius2)
-    phi_cut = ScalarField(grid, cutoff.evaluate(radius))
-    phi_one = ScalarField(grid, np.ones_like(radius))
-    pairs = []
-    for i in range(size):
-        center = rng.normal(0.0, 0.1, size=3)
-        width = rng.uniform(0.9, 1.1)
-        r2 = grid.radius2_about(center)
-        g = ScalarField(grid, amps[i] * np.exp(-0.5 * r2 / width ** 2))
-        pairs.append((g, phi_cut if i % 2 else phi_one))
-    return pairs
+    """The whole of ``iter_poincare_corpus(grid, size, seed)`` as a list."""
+    return list(iter_poincare_corpus(grid, size, seed))
 
 
 # ---------------------------------------------------------------------------
 # inequality checks
+#
+# Each check is a per-sample ratio function and a report builder.  A
+# sample's ratio is None when the sample is degenerate for that inequality;
+# the report builder drops those.  The check_* functions run both over a
+# corpus; the CLI panel feeds one streamed corpus to several ratio functions.
 
 
-def check_weighted_sobolev(
-    corpus: list[ScalarField], k: float, seed: int | None = None
-) -> InequalityReport:
-    """Empirical constant for the weighted Sobolev bound at weight index k.
-
-    Ratio per sample: [(int <v>^(3k-9) f^6)^(1/3) + C1 int <v>^(k-5) f^2]
-    over int <v>^(k-3) |grad f|^2, with C1 = (k-3)(k-1)/4 relative to the
-    Sobolev constant.
-    """
+def _sobolev_c1(k: float) -> float:
     if k < 3.0:
         raise ValueError("k must be at least 3")
-    c1 = SOBOLEV_CONSTANT * (k - 3.0) * (k - 1.0) / 4.0
-    ratios = []
-    for f in corpus:
-        grid = f.grid
-        vol = grid.cell_volume()
-        fv = f.values
-        w_top, w_mid, w_grad = map(grid.weight, (3.0 * k - 9.0, k - 5.0, k - 3.0))
-        g2 = squared_norm(gradient_values(grid, fv))
-        rhs = vol * float(np.sum(w_grad * g2))
-        if rhs <= 0.0:
-            continue  # constant sample, degenerate
-        lhs1 = (vol * float(np.sum(w_top * fv ** 6))) ** (1.0 / 3.0)
-        lhs2 = c1 * vol * float(np.sum(w_mid * fv * fv))
-        ratios.append((lhs1 + lhs2) / rhs)
+    return SOBOLEV_CONSTANT * (k - 3.0) * (k - 1.0) / 4.0
+
+
+def sobolev_ratio(f: ScalarField, k: float) -> float | None:
+    """One sample's ratio for the weighted Sobolev bound at weight index k:
+    [(int <v>^(3k-9) f^6)^(1/3) + C1 int <v>^(k-5) f^2] over
+    int <v>^(k-3) |grad f|^2, with C1 = (k-3)(k-1)/4 relative to the
+    Sobolev constant.  None for a constant sample."""
+    c1 = _sobolev_c1(k)
+    grid = f.grid
+    vol = grid.cell_volume()
+    fv = f.values
+    w_top, w_mid, w_grad = map(grid.weight, (3.0 * k - 9.0, k - 5.0, k - 3.0))
+    g2 = squared_norm(gradient_values(grid, fv))
+    rhs = vol * float(np.sum(w_grad * g2))
+    if rhs <= 0.0:
+        return None
+    lhs1 = (vol * float(np.sum(w_top * fv ** 6))) ** (1.0 / 3.0)
+    lhs2 = c1 * vol * float(np.sum(w_mid * fv * fv))
+    return (lhs1 + lhs2) / rhs
+
+
+def sobolev_report(k: float, ratios, seed: int | None = None) -> InequalityReport:
+    """The weighted Sobolev report from per-sample ``sobolev_ratio``s."""
+    c1 = _sobolev_c1(k)
     return report_from_ratios(
         f"weighted_sobolev_k{k:g}",
-        ratios,
+        [r for r in ratios if r is not None],
         seed,
         notes=f"c1={c1:.6g} (relative Sobolev constant {SOBOLEV_CONSTANT:.6g})",
     )
+
+
+def check_weighted_sobolev(
+    corpus: Iterable[ScalarField], k: float, seed: int | None = None
+) -> InequalityReport:
+    """Empirical constant for the weighted Sobolev bound at weight index k,
+    over the ``sobolev_ratio`` of each sample."""
+    return sobolev_report(k, [sobolev_ratio(f, k) for f in corpus], seed)
 
 
 def interpolation_weight(p: float, q: float, k: float) -> float:
@@ -167,43 +199,62 @@ def interpolation_weight(p: float, q: float, k: float) -> float:
     return (2.0 * k * p - (k - 3.0) * (3.0 * q - 3.0 * p)) / (3.0 * p - q)
 
 
-def check_interpolation(
-    corpus: list[ScalarField], p: float, qs, k: float, seed: int | None = None
-) -> list[InequalityReport]:
-    """Empirical constants for int <v>^k f^q against mass and gradient terms,
-    one report per q in qs, in order.
+def interpolation_ratios(f: ScalarField, p: float, qs, k: float) -> list:
+    """One sample's ratios of int <v>^k f^q against the mass and gradient
+    terms, one per q in qs, in order; None where a term vanishes.
 
-    Each sample is clipped and its gradient term taken once for all q;
+    The sample is clipped and its gradient term taken once for all q;
     only f^q and the mass sum against <v>^m(q) are computed per q.
     """
     ms = [interpolation_weight(p, q, k) for q in qs]
-    ratios = [[] for _ in qs]
-    for f in corpus:
-        grid = f.grid
-        vol = grid.cell_volume()
-        fv = np.maximum(f.values, 0.0)
-        fvp = fv ** p
-        masses = [vol * float(np.sum(grid.weight(m) * fvp)) for m in ms]
-        del fvp  # not alive at the gradient, which sets the working-set peak
-        g2 = squared_norm(gradient_values(grid, fv ** (0.5 * p)))
-        grad = vol * float(np.sum(grid.weight(k - 3.0) * g2))
-        for q, mass, out in zip(qs, masses, ratios):
-            if mass <= 0.0 or grad <= 0.0:
-                continue
-            num = vol * float(np.sum(grid.weight(k) * fv ** q))
-            expo_mass = (3.0 * p - q) / (2.0 * p)
-            expo_grad = 3.0 * (q - p) / (2.0 * p)
-            out.append(num / (mass ** expo_mass * grad ** expo_grad))
+    grid = f.grid
+    vol = grid.cell_volume()
+    fv = np.maximum(f.values, 0.0)
+    fvp = fv ** p
+    masses = [vol * float(np.sum(grid.weight(m) * fvp)) for m in ms]
+    del fvp  # not alive at the gradient, which sets the working-set peak
+    g2 = squared_norm(gradient_values(grid, fv ** (0.5 * p)))
+    grad = vol * float(np.sum(grid.weight(k - 3.0) * g2))
+    ratios = []
+    for q, mass in zip(qs, masses):
+        if mass <= 0.0 or grad <= 0.0:
+            ratios.append(None)
+            continue
+        num = vol * float(np.sum(grid.weight(k) * fv ** q))
+        expo_mass = (3.0 * p - q) / (2.0 * p)
+        expo_grad = 3.0 * (q - p) / (2.0 * p)
+        ratios.append(num / (mass ** expo_mass * grad ** expo_grad))
+    return ratios
+
+
+def interpolation_reports(
+    p: float, qs, k: float, rows: list, seed: int | None = None
+) -> list[InequalityReport]:
+    """One interpolation report per q in qs, in order, from the list of
+    per-sample ``interpolation_ratios`` rows."""
     return [
         report_from_ratios(
-            f"interpolation_p{p:g}_q{q:g}_k{k:g}", r, seed, notes=f"m={m:.6g}"
+            f"interpolation_p{p:g}_q{q:g}_k{k:g}",
+            [row[i] for row in rows if row[i] is not None],
+            seed,
+            notes=f"m={interpolation_weight(p, q, k):.6g}",
         )
-        for q, m, r in zip(qs, ms, ratios)
+        for i, q in enumerate(qs)
     ]
 
 
+def check_interpolation(
+    corpus: Iterable[ScalarField], p: float, qs, k: float, seed: int | None = None
+) -> list[InequalityReport]:
+    """Empirical constants for int <v>^k f^q against mass and gradient terms,
+    one report per q in qs, in order, over the ``interpolation_ratios`` of
+    each sample."""
+    rows = [interpolation_ratios(f, p, qs, k) for f in corpus]
+    return interpolation_reports(p, qs, k, rows, seed)
+
+
 def check_eps_poincare(
-    pairs: list[tuple[ScalarField, ScalarField]],
+    pairs: Iterable[tuple[ScalarField, ScalarField]],
     q: float,
     eps_grid,
     p: float = 2.0,
@@ -214,7 +265,8 @@ def check_eps_poincare(
     For each epsilon the fitted constant is the max over samples of
     LHS / [eps G + eps^(-3/(2q-3)) N M]; the envelope of the second-term
     coefficient over the stratified corpus must follow the predicted
-    eps^(-3/(2q-3)) power law.
+    eps^(-3/(2q-3)) power law.  The pairs are read once, in order, so a
+    generator such as ``iter_poincare_corpus`` is never held whole.
     """
     if q <= 1.5:
         raise ValueError("q must exceed 3/2")

@@ -600,6 +600,31 @@ def test_memory_estimate_admits_the_benchmark_sizes():
     assert cli_io._memory_limit_bytes() > 0
 
 
+@pytest.mark.parametrize("n", [24, 32])
+def test_memory_estimate_covers_a_traced_run(tmp_path, monkeypatch, capsys, n):
+    # a cold 3-step bimaxwellian run: its spectrum pair is allocated under
+    # the trace, its kernel table (the estimate's other term) is not
+    import threading
+    import tracemalloc
+
+    from landau import cli_io, coefficients
+
+    monkeypatch.setattr(coefficients, "_local", threading.local())
+    coefficients.kernel_table_for(make_grid(n, 8.0))
+    config = parse_config(f"[grid]\nn = {n}\n[initial_data]\nfamily = bimaxwellian\n"
+                          "[run]\nT = 0.06\ndt_max = 0.02\nsnapshot_cadence = 1000\n")
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            cli_io.run_experiment(config, str(tmp_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "steps=3 " in capsys.readouterr().out
+    assert cli_io._estimated_peak_bytes(n) - 6 * (n + 1) ** 3 * 8 >= peak
+
+
 def test_internal_value_error_is_not_a_config_error(tmp_path, monkeypatch):
     # an internal fault propagates (exit 1 with a traceback), not exit 2
     def broken_run(*args, **kwargs):

@@ -1,11 +1,13 @@
 """Cutoff construction, empirical inequality reports, and barriers."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import landau
 from landau import inequalities
+from landau.cli_io import run_inequality_suite
 from landau.errors import HypothesisError
 from landau.grid_field import gradient_values
 from landau.inequalities import (
@@ -283,16 +285,51 @@ def test_radius2_matches_coordinate_sum(request, grid_name):
 
 @pytest.mark.parametrize("grid_name", ["grid16", "grid32"])
 def test_corpora_match_coordinate_construction(request, grid_name):
+    # the lists and the streams both draw in the old construction's order
     grid = request.getfixturevalue(grid_name)
-    corpus = landau.make_corpus(grid, 9, 29)
-    for f, want in zip(corpus, _old_make_corpus(grid, 9, 29), strict=True):
-        assert np.array_equal(f.values, want)
-    pairs = landau.make_poincare_corpus(grid, 6, 29)
-    for (g, phi), (g_want, phi_want) in zip(
-        pairs, _old_make_poincare_corpus(grid, 6, 29), strict=True
-    ):
-        assert np.array_equal(g.values, g_want)
-        assert np.array_equal(phi.values, phi_want)
+    for corpus in (landau.make_corpus(grid, 9, 29), landau.iter_corpus(grid, 9, 29)):
+        for f, want in zip(corpus, _old_make_corpus(grid, 9, 29), strict=True):
+            assert np.array_equal(f.values, want)
+    for pairs in (landau.make_poincare_corpus(grid, 6, 29),
+                  landau.iter_poincare_corpus(grid, 6, 29)):
+        for (g, phi), (g_want, phi_want) in zip(
+            pairs, _old_make_poincare_corpus(grid, 6, 29), strict=True
+        ):
+            assert np.array_equal(g.values, g_want)
+            assert np.array_equal(phi.values, phi_want)
+
+
+@pytest.mark.parametrize("grid_name", ["grid16", "grid32"])
+def test_streamed_suite_matches_list_route(request, grid_name):
+    # one streamed pass gives every report of the checks run on the lists
+    grid = request.getfixturevalue(grid_name)
+    size, seed = 12, 31
+    want = [
+        landau.check_weighted_sobolev(landau.make_corpus(grid, size, seed), 4.5, seed),
+        *landau.check_interpolation(
+            landau.make_corpus(grid, size, seed), 1.5, (2.5, 13.0 / 6.0), 4.5, seed
+        ),
+        landau.check_eps_poincare(
+            landau.make_poincare_corpus(grid, size, seed), 2.0,
+            np.logspace(-2.0, 0.0, 7), 2.0, seed,
+        ),
+    ]
+    assert run_inequality_suite(grid, size, seed) == want
+
+
+def test_suite_memory_does_not_grow_with_corpus_size():
+    # each sample is dropped once checked: a fivefold corpus adds no array
+    n = 32
+    peaks = []
+    for size in (8, 40):
+        grid = landau.make_grid(n, 8.0)  # fresh, so both runs build its weights
+        tracemalloc.start()
+        try:
+            run_inequality_suite(grid, size, 2026)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 8 * n ** 3
 
 
 def test_make_corpus_properties(grid16):
