@@ -52,7 +52,6 @@ from .grid_field import (
     integrate,
     laplacian,
     make_grid,
-    weight_field,
     weighted_lp_norm,
 )
 from .inequalities import (
@@ -65,12 +64,8 @@ from .inequalities import (
     barrier_verdict,
     build_cutoff,
     check_eps_poincare,
-    check_interpolation,
-    check_weighted_sobolev,
     iter_corpus,
     iter_poincare_corpus,
-    make_corpus,
-    make_poincare_corpus,
     minimum_principle_monitor,
 )
 from .solver import (

@@ -568,13 +568,13 @@ def write_run_plots(outdir: str, t, linf, fisher, entropy) -> None:
 
 
 # n^3 arrays of doubles live at a run's peak, the ellipticity range of a
-# step's new state: the spectrum pair of the coefficient transforms (16,
-# kept per thread), the run's Workspace (13: A, a, grad a and grad f), the
-# chunk scratch of eig_range (8 at n <= 32, where its 2 MB per lane spans
-# the grid; 2 at n = 64), the run's input, the old state's f and rhs and
-# the new f (4), and the grid's |v|^2, 1 + |v|^2 and two record weights
-# (4).  Traced cold 3-step bimaxwellian runs, table excluded: 47.0, 46.1,
-# 42.2 and 41.4 at n = 24/32/48/64.
+# step's new state: the run's Workspace (29: the spectrum pair of the
+# coefficient transforms 16, then A, a, grad a and grad f 13), the chunk
+# scratch of eig_range (8 at n <= 32, where its 2 MB per lane spans the
+# grid; 2 at n = 64), the run's input, the old state's f and rhs and the
+# new f (4), and the grid's |v|^2, 1 + |v|^2 and two record weights (4).
+# Traced cold 3-step bimaxwellian runs, table excluded: 47.0, 46.1, 42.2
+# and 41.4 at n = 24/32/48/64.
 _STEP_ARRAYS = 48
 
 

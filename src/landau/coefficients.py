@@ -18,13 +18,13 @@ the discarded output rows after each axis.  ``compute_coefficients``
 transforms f once and streams the six components, one at a time, through
 a single reused spectrum buffer, multiplied a few kx-planes at a time
 against a small contiguous block that mirrors the octant with its parity
-signs.  The two spectrum buffers are kept per thread, and a set's A, a
-and grad a go into one (10, n, n, n) array that a run reuses for every set
-it builds, so a step allocates no coefficient-sized array.
+signs.  The two spectrum buffers and a set's A, a and grad a live in one
+``Workspace`` that a run allocates at its start and reuses for every set
+it builds, so a step allocates no coefficient-sized array, and the run's
+buffers are freed when the run ends.
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 
@@ -129,34 +129,38 @@ def _matrix_kernel(grid: VelocityGrid, comp: int, geometry) -> np.ndarray:
     return kernel
 
 
-_local = threading.local()
+@dataclass(frozen=True)
+class Workspace:
+    """The arrays a run writes its coefficient sets and gradients of f into:
+    A, a and grad a as one (10, n, n, n) array, grad f as (3, n, n, n), and
+    the spectrum pair of the transforms, two (2n, 2n, n+1) complex arrays:
+    the spectrum of f and the product buffer of ``_convolutions``."""
+
+    coefficients: np.ndarray
+    gradient: np.ndarray
+    spectra: np.ndarray
+
+    @classmethod
+    def for_grid(cls, grid: VelocityGrid) -> Workspace:
+        n = grid.n
+        shape = (n,) * 3
+        return cls(np.empty((10,) + shape), np.empty((3,) + shape), _spectrum_pair(n))
 
 
-def _spectra(m: int) -> np.ndarray:
-    """Two (m, m, m/2+1) complex buffers of the calling thread, the spectrum
-    of f and the product buffer of ``_convolutions``, kept from call to
-    call.  Allocated afresh on every call, their freed blocks stayed
-    resident or not depending on the heap layout, and the peak memory of
-    one and the same run moved by a spectrum or more from process to
-    process."""
-    spectra = getattr(_local, "spectra", None)
-    if spectra is None or spectra.shape[1] != m:
-        _local.spectra = None  # free the old pair before the new one
-        spectra = _local.spectra = np.empty((2, m, m, m // 2 + 1), dtype=complex)
-    return spectra
+def _spectrum_pair(n: int) -> np.ndarray:
+    return np.empty((2, 2 * n, 2 * n, n + 1), dtype=complex)
 
 
-def _forward(values: np.ndarray, m: int, workers: int) -> np.ndarray:
-    """rfftn of values zero-padded to m^3, one axis at a time.
+def _forward(values: np.ndarray, spec: np.ndarray, workers: int) -> np.ndarray:
+    """rfftn of values zero-padded to m^3, one axis at a time, into spec,
+    an (m, m, m/2+1) complex buffer.
 
-    The z pass writes into the first of the thread's spectrum buffers,
-    zeroed elsewhere; the y pass runs in place on its first n planes and
-    the x pass on the whole, so rows that are zero along the later axes are
-    never transformed (FFT pruning) and no pass makes a padded copy.  The
-    result is that buffer: the next call on this thread overwrites it.
+    The z pass writes into spec, zeroed elsewhere; the y pass runs in place
+    on its first n planes and the x pass on the whole, so rows that are
+    zero along the later axes are never transformed (FFT pruning) and no
+    pass makes a padded copy.
     """
-    n = values.shape[0]
-    spec = _spectra(m)[0]
+    n, m = values.shape[0], spec.shape[0]
     spec[n:] = 0.0
     spec[:n, n:] = 0.0
     spec[:n, :n] = sp_fft.rfft(values, n=m, axis=2, workers=workers)
@@ -176,30 +180,30 @@ _BLOCK_PLANES = 8
 
 
 def _convolutions(
-    values: np.ndarray, symbols, parities, workers: int, out: np.ndarray | None = None
+    values: np.ndarray, symbols, parities, workers: int,
+    spectra: np.ndarray, out: np.ndarray,
 ) -> np.ndarray:
     """Leading n^3 corner of irfftn(rfftn(values) * symbol), zero padding to
-    (2n)^3, for each octant symbol; stacked into ``out`` (allocated when not
-    given), not scaled by h^3.
+    (2n)^3, for each octant symbol; stacked into ``out``, not scaled by h^3.
+    ``spectra`` is a ``Workspace``'s spectrum pair.
 
-    values is transformed once.  On the doubled grid a symbol is its octant
-    mirrored by parity, hat[2n - k] = -hat[k] along an odd axis.  The 2n
-    kx-planes of each product are split over the lanes of ``_accel``'s row
-    slabs, one lane per FFT worker.  A few planes at a time, a lane copies
-    the octant rows into its own small contiguous block, mirrored along ky
-    with both parity signs applied, and multiplies the spectrum planes by
-    that block into the second spectrum buffer, so every product runs on
-    contiguous data.  The inverse runs on the caller thread, axis by axis
-    in place, and drops the discarded output rows after each pass; its
-    corner goes straight into its row of ``out``.
+    values is transformed once, into the first spectrum buffer.  On the
+    doubled grid a symbol is its octant mirrored by parity,
+    hat[2n - k] = -hat[k] along an odd axis.  The 2n kx-planes of each
+    product are split over the lanes of ``_accel``'s row slabs, one lane per
+    FFT worker.  A few planes at a time, a lane copies the octant rows into
+    its own small contiguous block, mirrored along ky with both parity signs
+    applied, and multiplies the spectrum planes by that block into the
+    second spectrum buffer, so every product runs on contiguous data.  The
+    inverse runs on the caller thread, axis by axis in place, and drops the
+    discarded output rows after each pass; its corner goes straight into its
+    row of ``out``.
     """
     n = values.shape[0]
-    fhat = _forward(values, 2 * n, workers)
-    spec = _spectra(2 * n)[1]
+    fhat = _forward(values, spectra[0], workers)
+    spec = spectra[1]
     lanes = min(workers, 2 * n)
     blocks = np.empty((lanes, _BLOCK_PLANES, 2 * n, n + 1))
-    if out is None:
-        out = np.empty((len(symbols), n, n, n))
     for c, parity in enumerate(parities):
         _accel._in_slabs(partial(_products, fhat, spec, symbols[c], parity, blocks),
                          2 * n, lanes, _BLOCK_PLANES)
@@ -264,10 +268,8 @@ class KernelTable:
 class CoefficientSet:
     """Potential a[f], its gradient, and the diffusion matrix A[f].
 
-    The ellipticity range is derived from A on first read and cached:
-    ``c0_hat`` = min over nodes of <v>^3 lambda_min(A), ``sup_A`` = max
-    over nodes of lambda_max(A).  A set that is only stepped with, such
-    as a Heun stage, never computes it.
+    Its ellipticity range is computed only on request, so a set that is
+    only stepped with, such as a Heun stage, never computes it.
     """
 
     a: ScalarField
@@ -275,22 +277,11 @@ class CoefficientSet:
     A: SymMatrixField
 
     def ellipticity_range(self, out: np.ndarray | None = None) -> tuple[float, float]:
-        """(c0_hat, sup_A), computed afresh; ``out``, (2, n, n, n), receives
-        the per-node smallest and largest eigenvalues of A."""
+        """(c0_hat, sup_A): the min over nodes of <v>^3 lambda_min(A) and
+        the max over nodes of lambda_max(A).  ``out``, (2, n, n, n),
+        receives the per-node smallest and largest eigenvalues of A."""
         lmin, lmax = _accel.eig_range(self.A.values, out)
         return float(np.min(self.A.grid.weight(3.0) * lmin)), float(np.max(lmax))
-
-    @cached_property
-    def _ellipticity_range(self) -> tuple[float, float]:
-        return self.ellipticity_range()
-
-    @property
-    def c0_hat(self) -> float:
-        return self._ellipticity_range[0]
-
-    @property
-    def sup_A(self) -> float:
-        return self._ellipticity_range[1]
 
 
 def _half_dft(values: np.ndarray, axis: int, odd: bool, workers: int) -> np.ndarray:
@@ -357,8 +348,10 @@ def convolve_free_space(
         except ValueError:
             raise ValueError(f"unknown kernel component {component!r}") from None
         khat, odd = table.symbols[c], _ODD[c]
-    vals = _convolutions(f.values, (khat,), (odd,), fft_workers())[0]
-    return ScalarField(f.grid, vals * f.grid.cell_volume())
+    n = f.grid.n
+    vals = np.empty((1, n, n, n))
+    _convolutions(f.values, (khat,), (odd,), fft_workers(), _spectrum_pair(n), vals)
+    return ScalarField(f.grid, vals[0] * f.grid.cell_volume())
 
 
 def direct_convolve(
@@ -407,23 +400,23 @@ def spectral_vs_direct(f: ScalarField, table: KernelTable) -> dict:
 
 
 def compute_coefficients(
-    f: ScalarField, table: KernelTable | None = None, out: np.ndarray | None = None
+    f: ScalarField, table: KernelTable | None = None, work: Workspace | None = None
 ) -> CoefficientSet:
     """Potential a[f], its gradient and diffusion matrix A[f].
 
     One forward transform of f; then, per matrix component, the spectrum
     times that component's symbol goes through one reused buffer and one
-    pruned inverse into A; the spectrum and that buffer are the thread's
-    two kept spectrum buffers, so no call allocates a spectrum after the
-    first.  a[f] = tr A[f] because the kernels' traces agree
-    nodewise.  grad a is obtained by differencing the potential so
+    pruned inverse into A; the spectrum and that buffer are the two
+    spectrum buffers of ``work``, so no call with a given workspace
+    allocates a spectrum.  a[f] = tr A[f] because the kernels' traces
+    agree nodewise.  grad a is obtained by differencing the potential so
     the flux scheme sees the exact discrete identity grad_a = gradient(a).
-    The ellipticity range is left to the first read of the set.
+    The ellipticity range is left to ``CoefficientSet.ellipticity_range``.
 
-    The set is written into one (10, n, n, n) array, A in rows 0..5, a in
-    row 6 and grad a in rows 7..9, and views it: ``out`` when given (a run
-    passes the same array for every set it builds, and a set lives until
-    the next is written), else a fresh one.
+    The set is written into ``work.coefficients``, A in rows 0..5, a in
+    row 6 and grad a in rows 7..9, and views it: a run passes its one
+    workspace for every set it builds, and a set lives until the next is
+    written.  Without ``work`` a fresh workspace is used.
     """
     grid = f.grid
     mass = grid.cell_volume() * float(np.sum(f.values))
@@ -432,10 +425,10 @@ def compute_coefficients(
     if table is None:
         table = kernel_table_for(grid)
     _check_table_grid(table, grid)
-    if out is None:
-        out = np.empty((10,) + f.values.shape)
+    work = work or Workspace.for_grid(grid)
+    out = work.coefficients
     a6, a_vals, grad_a = out[:6], out[6], out[7:]
-    _convolutions(f.values, table.symbols, _ODD, fft_workers(), out=a6)
+    _convolutions(f.values, table.symbols, _ODD, fft_workers(), work.spectra, a6)
     a6 *= grid.cell_volume()
     np.add(a6[0], a6[1], out=a_vals)
     a_vals += a6[2]

@@ -28,7 +28,6 @@ class DiagnosticsRecord:
     lp_norms: dict
     c0_hat: float
     sup_A: float
-    degenerate: bool = False
 
 
 def moments(grid, values) -> tuple:
@@ -49,14 +48,6 @@ def record(
     vol = grid.cell_volume()
     fv = f.values
     t = float(state.t)
-    if not np.any(fv):
-        return DiagnosticsRecord(
-            t=t, mass=0.0, momentum=(0.0, 0.0, 0.0), energy=0.0, entropy=0.0,
-            fisher=0.0, fisher_sqrt_form=0.0, linf=0.0,
-            lp_norms={(p, m): 0.0 for p in p_list for m in m_list},
-            c0_hat=state.c0_hat, sup_A=state.sup_A, degenerate=True,
-        )
-
     mass, momentum, energy = moments(grid, fv)
     fpos = fv[fv > 0.0]
     entropy = vol * float(np.sum(fpos * np.log(fpos)))

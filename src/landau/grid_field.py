@@ -125,11 +125,6 @@ def make_grid(n: int, l: float) -> VelocityGrid:
     return VelocityGrid(n=n, l=float(l), h=2.0 * float(l) / n)
 
 
-def weight_field(grid: VelocityGrid, m: float) -> ScalarField:
-    """<v>^m as a field, a view of grid.weight(m)."""
-    return ScalarField(grid, grid.weight(m))
-
-
 def integrate(field: ScalarField) -> float:
     """Midpoint quadrature h^3 sum over all nodes."""
     return float(field.grid.cell_volume() * np.sum(field.values))

@@ -72,7 +72,6 @@ def report_from_ratios(name, ratios, seed, notes="", extra_pass=True) -> Inequal
 #
 # Each corpus is a seeded generator that yields one sample at a time, so a
 # caller that checks and drops each sample holds one sample, not the corpus.
-# The list builders are the same draws collected.
 
 
 def iter_corpus(grid: VelocityGrid, size: int, seed: int) -> Iterator[ScalarField]:
@@ -107,11 +106,6 @@ def _corpus_field(grid: VelocityGrid, rng: np.random.Generator, kind: int) -> Sc
     return ScalarField(grid, vals)
 
 
-def make_corpus(grid: VelocityGrid, size: int, seed: int) -> list[ScalarField]:
-    """The whole of ``iter_corpus(grid, size, seed)`` as a list."""
-    return list(iter_corpus(grid, size, seed))
-
-
 def iter_poincare_corpus(
     grid: VelocityGrid, size: int, seed: int
 ) -> Iterator[tuple[ScalarField, ScalarField]]:
@@ -132,20 +126,13 @@ def iter_poincare_corpus(
         yield ScalarField(grid, g), (phi_cut if i % 2 else phi_one)
 
 
-def make_poincare_corpus(
-    grid: VelocityGrid, size: int, seed: int
-) -> list[tuple[ScalarField, ScalarField]]:
-    """The whole of ``iter_poincare_corpus(grid, size, seed)`` as a list."""
-    return list(iter_poincare_corpus(grid, size, seed))
-
-
 # ---------------------------------------------------------------------------
 # inequality checks
 #
 # Each check is a per-sample ratio function and a report builder.  A
 # sample's ratio is None when the sample is degenerate for that inequality;
-# the report builder drops those.  The check_* functions run both over a
-# corpus; the CLI panel feeds one streamed corpus to several ratio functions.
+# the report builder drops those.  The CLI panel feeds one streamed corpus
+# to several ratio functions.
 
 
 def _sobolev_c1(k: float) -> float:
@@ -182,14 +169,6 @@ def sobolev_report(k: float, ratios, seed: int | None = None) -> InequalityRepor
         seed,
         notes=f"c1={c1:.6g} (relative Sobolev constant {SOBOLEV_CONSTANT:.6g})",
     )
-
-
-def check_weighted_sobolev(
-    corpus: Iterable[ScalarField], k: float, seed: int | None = None
-) -> InequalityReport:
-    """Empirical constant for the weighted Sobolev bound at weight index k,
-    over the ``sobolev_ratio`` of each sample."""
-    return sobolev_report(k, [sobolev_ratio(f, k) for f in corpus], seed)
 
 
 def interpolation_weight(p: float, q: float, k: float) -> float:
@@ -241,16 +220,6 @@ def interpolation_reports(
         )
         for i, q in enumerate(qs)
     ]
-
-
-def check_interpolation(
-    corpus: Iterable[ScalarField], p: float, qs, k: float, seed: int | None = None
-) -> list[InequalityReport]:
-    """Empirical constants for int <v>^k f^q against mass and gradient terms,
-    one report per q in qs, in order, over the ``interpolation_ratios`` of
-    each sample."""
-    rows = [interpolation_ratios(f, p, qs, k) for f in corpus]
-    return interpolation_reports(p, qs, k, rows, seed)
 
 
 def check_eps_poincare(
@@ -375,9 +344,6 @@ class CutoffProfile:
     """
 
     R: float
-    r: np.ndarray
-    eta: np.ndarray
-    grad_eta: np.ndarray
     c_hat: float
 
     def evaluate(self, radius: np.ndarray) -> np.ndarray:
@@ -387,24 +353,20 @@ class CutoffProfile:
         return np.abs(_phi_prime(np.asarray(radius, dtype=float) / self.R)) / self.R
 
 
-def build_cutoff(R: float, mesh_points: int = 22001) -> CutoffProfile:
+# nodes of the mesh on x = r/R in [0, 2.2] that c_hat is maximized over;
+# fine enough to resolve the transition annulus 1 < x < 2
+_CUTOFF_MESH_POINTS = 22001
+
+
+def build_cutoff(R: float) -> CutoffProfile:
     if not R > 0.0:
         raise ValueError("R must be positive")
-    if mesh_points < 11000:
-        raise ValueError("mesh must resolve the transition annulus")
-    x = np.linspace(0.0, 2.2, mesh_points)
+    x = np.linspace(0.0, 2.2, _CUTOFF_MESH_POINTS)
     eta = _phi(x)
     dphi = np.abs(_phi_prime(x))
     denom = np.minimum(np.sqrt(eta), np.sqrt(np.maximum(1.0 - eta, 0.0)))
     mask = (denom > 0.0) & (dphi > 0.0)
-    c_hat = float(np.max(dphi[mask] / denom[mask]))
-    return CutoffProfile(
-        R=float(R),
-        r=x * R,
-        eta=eta,
-        grad_eta=dphi / R,
-        c_hat=c_hat,
-    )
+    return CutoffProfile(R=float(R), c_hat=float(np.max(dphi[mask] / denom[mask])))
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,9 @@ the nonlocal coefficients are rebuilt at each stage.
 A state keeps its flux divergence, the first stage of the next step, and
 the three scalars of its coefficient set that the step bound and the
 diagnostics read, but not the set.  So no two sets are ever alive at once,
-and a run writes every set, and every gradient of f, into one
-``Workspace`` it allocates at the start.
+and a run writes every set, every gradient of f and every spectrum of
+the coefficient transforms into one ``Workspace`` it allocates at the
+start.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _accel, diagnostics
-from .coefficients import CoefficientSet, compute_coefficients
+from .coefficients import CoefficientSet, Workspace, compute_coefficients
 from .errors import NumericError, StiffnessError
 from .grid_field import ScalarField, VelocityGrid, gradient_values, squared_norm
 
@@ -60,24 +61,9 @@ class SimulationState:
     clipped_mass: float = 0.0
 
 
-@dataclass(frozen=True)
-class Workspace:
-    """The arrays a coefficient set and the gradient of f are written into:
-    A, a and grad a as one (10, n, n, n) array (``compute_coefficients``'s
-    ``out``) and grad f as (3, n, n, n)."""
-
-    coefficients: np.ndarray
-    gradient: np.ndarray
-
-    @classmethod
-    def for_grid(cls, grid: VelocityGrid) -> Workspace:
-        shape = (grid.n,) * 3
-        return cls(np.empty((10,) + shape), np.empty((3,) + shape))
-
-
 def _coefficients(f: ScalarField, work: Workspace) -> CoefficientSet | None:
     # the identically-zero field has no dynamics and no set
-    return compute_coefficients(f, out=work.coefficients) if np.any(f.values) else None
+    return compute_coefficients(f, work=work) if np.any(f.values) else None
 
 
 def _rhs(f: ScalarField, coeffs: CoefficientSet | None, work: Workspace) -> np.ndarray:

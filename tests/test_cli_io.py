@@ -601,15 +601,14 @@ def test_memory_estimate_admits_the_benchmark_sizes():
 
 
 @pytest.mark.parametrize("n", [24, 32])
-def test_memory_estimate_covers_a_traced_run(tmp_path, monkeypatch, capsys, n):
-    # a cold 3-step bimaxwellian run: its spectrum pair is allocated under
-    # the trace, its kernel table (the estimate's other term) is not
-    import threading
+def test_memory_estimate_covers_a_traced_run(tmp_path, capsys, n):
+    # a cold 3-step bimaxwellian run: its workspace, spectrum pair
+    # included, is allocated under the trace, its kernel table (the
+    # estimate's other term) is not
     import tracemalloc
 
     from landau import cli_io, coefficients
 
-    monkeypatch.setattr(coefficients, "_local", threading.local())
     coefficients.kernel_table_for(make_grid(n, 8.0))
     config = parse_config(f"[grid]\nn = {n}\n[initial_data]\nfamily = bimaxwellian\n"
                           "[run]\nT = 0.06\ndt_max = 0.02\nsnapshot_cadence = 1000\n")

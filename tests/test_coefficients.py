@@ -12,6 +12,7 @@ from scipy.special import erf
 
 import landau
 from landau import _accel, coefficients
+from landau.coefficients import Workspace
 from landau.errors import ConfigError
 
 from oracle_values import A_MU_ORIGIN, LATTICE_DEFICIT, S0_UNIT
@@ -155,13 +156,14 @@ def test_matrix_positive_semidefinite(grid16):
     m[..., 1, 2] = m[..., 2, 1] = yz
     eigs = np.linalg.eigvalsh(m)
     assert float(eigs.min()) >= -1e-14
-    assert c.c0_hat > 0.0
-    assert c.sup_A > 0.0
+    c0_hat, sup_A = c.ellipticity_range()
+    assert c0_hat > 0.0
+    assert sup_A > 0.0
     # sup_A is the raw eigenvalue sup; c0_hat carries the <v>^3 weight
     # (closed-form 3x3 eigenvalues, so only ~1e-9 agreement with LAPACK)
-    assert c.sup_A == pytest.approx(float(eigs.max()), rel=1e-8)
+    assert sup_A == pytest.approx(float(eigs.max()), rel=1e-8)
     floor = eigs.min(axis=-1) * grid16.bracket2 ** 1.5
-    assert c.c0_hat == pytest.approx(float(floor.min()), rel=1e-8)
+    assert c0_hat == pytest.approx(float(floor.min()), rel=1e-8)
 
 
 def test_grad_a_matches_gradient_of_a(grid16):
@@ -230,16 +232,17 @@ def test_streamed_matrix_matches_single_component(request, grid_name):
 
 def test_compute_coefficients_allocation_peak(grid32):
     # the spectrum of f and the product buffer of the six spectra are the
-    # thread's kept spectrum buffers, so a second call allocates no
-    # spectrum: its peak is A, a, grad a and one transform pass, below A
-    # and one spectrum
+    # workspace's spectrum pair, so a second call with the same workspace
+    # allocates no spectrum: its peak is one transform pass, below A and
+    # one spectrum
     n = grid32.n
     table = landau.kernel_table_for(grid32)
     f = landau.maxwellian(grid32)
-    landau.compute_coefficients(f, table)
+    work = Workspace.for_grid(grid32)
+    landau.compute_coefficients(f, table, work)
     tracemalloc.start()
     try:
-        landau.compute_coefficients(f, table)
+        landau.compute_coefficients(f, table, work)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -253,9 +256,8 @@ def test_ellipticity_range_matches_eager_formula(grid16):
     f = landau.ScalarField(grid16, rng.random((16, 16, 16)))
     c = landau.compute_coefficients(f)
     lmin, lmax = _accel.eig_range(c.A.values)
-    w3 = landau.weight_field(grid16, 3.0).values
-    assert c.c0_hat == float(np.min(w3 * lmin))
-    assert c.sup_A == float(np.max(lmax))
+    w3 = grid16.weight(3.0)
+    assert c.ellipticity_range() == (float(np.min(w3 * lmin)), float(np.max(lmax)))
 
 
 def _padded_kernels(table):
@@ -297,7 +299,8 @@ def _full_grid_coefficients(f, table):
     one product with the spectrum of f, then the pruned inverse."""
     n = f.grid.n
     workers = coefficients.fft_workers()
-    fhat = coefficients._forward(f.values, 2 * n, workers)
+    spec = np.empty((2 * n, 2 * n, n + 1), dtype=complex)
+    fhat = coefficients._forward(f.values, spec, workers)
     a6 = np.empty((6, n, n, n))
     for c, comp in enumerate(COMPONENTS[1:]):
         sx, sy = _mirror_signs(comp)

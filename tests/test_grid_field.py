@@ -69,17 +69,17 @@ def test_field_validation(grid16):
 
 
 def test_weight_field_values(grid16):
-    w = landau.weight_field(grid16, 4.5)
-    assert np.allclose(w.values, grid16.bracket2 ** 2.25)
+    w = grid16.weight(4.5)
+    assert np.allclose(w, grid16.bracket2 ** 2.25)
 
 
 def test_weight_field_log_space(grid16):
     # m = 60 would overflow the direct power at the corners; log path must not
-    w = landau.weight_field(grid16, 60.0)
-    assert np.all(np.isfinite(w.values))
+    w = grid16.weight(60.0)
+    assert np.all(np.isfinite(w))
     i = grid16.n // 2
     b = grid16.bracket2[i, i, i]
-    assert w.values[i, i, i] == pytest.approx(b ** 30.0, rel=1e-12)
+    assert w[i, i, i] == pytest.approx(b ** 30.0, rel=1e-12)
 
 
 def test_weight_built_once_per_index(weight_builds):
@@ -90,7 +90,6 @@ def test_weight_built_once_per_index(weight_builds):
     assert grid.weight(3) is grid.weight(3.0)
     assert builds == [4.5, 3.0]
     assert np.array_equal(w, grid.bracket2 ** 2.25)
-    assert np.array_equal(landau.weight_field(grid, 4.5).values, w)
     with pytest.raises(ValueError, match="read-only"):
         w[0, 0, 0] = 0.0
     with pytest.raises(ValueError, match="read-only"):
@@ -109,7 +108,7 @@ def test_grid_with_weights_freed_without_gc():
     grid = landau.make_grid(16, 8.0)
     grid.weight(4.5)
     grid.weight(60.0)
-    landau.weight_field(grid, -6.0)
+    grid.weight(-6.0)
     landau.weighted_lp_norm(landau.maxwellian(grid), 1.5, 3.0)
     assert len(grid.__dict__["_weights"]) == 4
     ref = weakref.ref(grid)

@@ -15,7 +15,11 @@ from landau.inequalities import (
     SUBCRITICAL,
     barrier_verdict,
     critical_weight_constant,
+    interpolation_ratios,
+    interpolation_reports,
     report_from_ratios,
+    sobolev_ratio,
+    sobolev_report,
 )
 from landau.solver import Snapshot, Trajectory
 
@@ -63,9 +67,9 @@ def test_report_from_ratios():
 
 
 def test_weighted_sobolev_small_corpus(grid16):
-    corpus = landau.make_corpus(grid16, 8, 11)
-    assert len(corpus) == 8
-    rep = landau.check_weighted_sobolev(corpus, 4.5, 11)
+    ratios = [sobolev_ratio(f, 4.5) for f in landau.iter_corpus(grid16, 8, 11)]
+    assert len(ratios) == 8
+    rep = sobolev_report(4.5, ratios, 11)
     assert rep.passed
     assert np.isfinite(rep.max_ratio) and rep.max_ratio > 0.0
     assert rep.corpus_size == 8
@@ -73,8 +77,9 @@ def test_weighted_sobolev_small_corpus(grid16):
 
 def test_interpolation_small_corpus(grid16):
     # the even/odd stability split needs a dozen samples to settle down
-    corpus = landau.make_corpus(grid16, 16, 7)
-    (rep,) = landau.check_interpolation(corpus, 1.5, (2.5,), 4.5, 7)
+    rows = [interpolation_ratios(f, 1.5, (2.5,), 4.5)
+            for f in landau.iter_corpus(grid16, 16, 7)]
+    (rep,) = interpolation_reports(1.5, (2.5,), 4.5, rows, 7)
     assert rep.passed
     assert np.isfinite(rep.max_ratio)
 
@@ -85,7 +90,7 @@ def _interpolation_reference(corpus, p, q, k, seed):
     expo_mass = (3.0 * p - q) / (2.0 * p)
     expo_grad = 3.0 * (q - p) / (2.0 * p)
     grid = corpus[0].grid
-    w_k, w_m, w_g = (landau.weight_field(grid, i).values for i in (k, m, k - 3.0))
+    w_k, w_m, w_g = (grid.weight(i) for i in (k, m, k - 3.0))
     ratios = []
     for f in corpus:
         vol = grid.cell_volume()
@@ -107,12 +112,13 @@ def test_interpolation_multi_q_matches_per_q_reference(request, grid_name):
     # one pass per sample for all q gives each q's report bit for bit,
     # clipped and skipped (all-zero, all-negative) samples included
     grid = request.getfixturevalue(grid_name)
-    corpus = landau.make_corpus(grid, 9, 13)
+    corpus = list(landau.iter_corpus(grid, 9, 13))
     signed = corpus[0].values - 0.5 * float(corpus[0].values.max())
     zero = np.zeros((grid.n,) * 3)
     corpus += [landau.ScalarField(grid, v) for v in (signed, zero, -corpus[1].values)]
     qs = (2.5, 13.0 / 6.0, 4.0)
-    reports = landau.check_interpolation(corpus, 1.5, qs, 4.5, 13)
+    rows = [interpolation_ratios(f, 1.5, qs, 4.5) for f in corpus]
+    reports = interpolation_reports(1.5, qs, 4.5, rows, 13)
     assert reports == [_interpolation_reference(corpus, 1.5, q, 4.5, 13) for q in qs]
     assert reports[0].corpus_size == len(corpus) - 2
 
@@ -120,7 +126,7 @@ def test_interpolation_multi_q_matches_per_q_reference(request, grid_name):
 def test_eps_poincare_report_structure(grid16):
     # the slope gate is calibrated on the full default corpus; a small one
     # only has to produce finite ratios and the fitted-slope note
-    pairs = landau.make_poincare_corpus(grid16, 8, 5)
+    pairs = landau.iter_poincare_corpus(grid16, 8, 5)
     eps_grid = np.logspace(-1.5, 0.0, 5)
     rep = landau.check_eps_poincare(pairs, 2.0, eps_grid, 2.0, 5)
     assert rep.corpus_size == len(rep.ratios)
@@ -169,7 +175,7 @@ def test_minimum_principle_monitor_exact_barrier(grid16):
     # data a hair above the barrier: zero excess at t=0 and forever after,
     # and the ratio grows as the barrier decays while f stays put
     a0 = 1e-3
-    wk = landau.weight_field(grid16, -10.0).values
+    wk = grid16.weight(-10.0)
     f = landau.ScalarField(grid16, (1.0 + 1e-6) * a0 * wk)
     eta = landau.barrier_sufficient_rate(CRITICAL, 10.0, m_bound=0.02)
     params = landau.BarrierParams(a=a0, k=10.0, eta_rate=eta, regime=CRITICAL)
@@ -224,7 +230,7 @@ def _coordinate_cube(grid):
 
 
 def _old_make_corpus(grid, size, seed):
-    """make_corpus as built from the (3, n, n, n) node coordinates."""
+    """iter_corpus as built from the (3, n, n, n) node coordinates."""
     rng = np.random.default_rng(seed)
     coords = _coordinate_cube(grid)
     fields = []
@@ -254,7 +260,7 @@ def _old_make_corpus(grid, size, seed):
 
 
 def _old_make_poincare_corpus(grid, size, seed):
-    """make_poincare_corpus as built from the node coordinates."""
+    """iter_poincare_corpus as built from the node coordinates."""
     rng = np.random.default_rng(seed)
     coords = _coordinate_cube(grid)
     amps = np.logspace(-3.0, 3.0, size) * rng.uniform(0.95, 1.05, size=size)
@@ -285,32 +291,34 @@ def test_radius2_matches_coordinate_sum(request, grid_name):
 
 @pytest.mark.parametrize("grid_name", ["grid16", "grid32"])
 def test_corpora_match_coordinate_construction(request, grid_name):
-    # the lists and the streams both draw in the old construction's order
+    # the streams draw in the old construction's order
     grid = request.getfixturevalue(grid_name)
-    for corpus in (landau.make_corpus(grid, 9, 29), landau.iter_corpus(grid, 9, 29)):
-        for f, want in zip(corpus, _old_make_corpus(grid, 9, 29), strict=True):
-            assert np.array_equal(f.values, want)
-    for pairs in (landau.make_poincare_corpus(grid, 6, 29),
-                  landau.iter_poincare_corpus(grid, 6, 29)):
-        for (g, phi), (g_want, phi_want) in zip(
-            pairs, _old_make_poincare_corpus(grid, 6, 29), strict=True
-        ):
-            assert np.array_equal(g.values, g_want)
-            assert np.array_equal(phi.values, phi_want)
+    corpus = landau.iter_corpus(grid, 9, 29)
+    for f, want in zip(corpus, _old_make_corpus(grid, 9, 29), strict=True):
+        assert np.array_equal(f.values, want)
+    for (g, phi), (g_want, phi_want) in zip(
+        landau.iter_poincare_corpus(grid, 6, 29),
+        _old_make_poincare_corpus(grid, 6, 29), strict=True
+    ):
+        assert np.array_equal(g.values, g_want)
+        assert np.array_equal(phi.values, phi_want)
 
 
 @pytest.mark.parametrize("grid_name", ["grid16", "grid32"])
 def test_streamed_suite_matches_list_route(request, grid_name):
-    # one streamed pass gives every report of the checks run on the lists
+    # one streamed pass gives every report of the per-sample checks run
+    # on the whole corpus as a list, one check at a time
     grid = request.getfixturevalue(grid_name)
     size, seed = 12, 31
+    qs = (2.5, 13.0 / 6.0)
+    corpus = list(landau.iter_corpus(grid, size, seed))
     want = [
-        landau.check_weighted_sobolev(landau.make_corpus(grid, size, seed), 4.5, seed),
-        *landau.check_interpolation(
-            landau.make_corpus(grid, size, seed), 1.5, (2.5, 13.0 / 6.0), 4.5, seed
+        sobolev_report(4.5, [sobolev_ratio(f, 4.5) for f in corpus], seed),
+        *interpolation_reports(
+            1.5, qs, 4.5, [interpolation_ratios(f, 1.5, qs, 4.5) for f in corpus], seed
         ),
         landau.check_eps_poincare(
-            landau.make_poincare_corpus(grid, size, seed), 2.0,
+            list(landau.iter_poincare_corpus(grid, size, seed)), 2.0,
             np.logspace(-2.0, 0.0, 7), 2.0, seed,
         ),
     ]
@@ -332,13 +340,13 @@ def test_suite_memory_does_not_grow_with_corpus_size():
     assert peaks[1] - peaks[0] < 8 * n ** 3
 
 
-def test_make_corpus_properties(grid16):
-    corpus = landau.make_corpus(grid16, 6, 3)
+def test_corpus_properties(grid16):
+    corpus = list(landau.iter_corpus(grid16, 6, 3))
     for f in corpus:
         assert float(f.values.min()) >= 0.0
         assert landau.integrate(f) > 0.0
     # seeded: same seed reproduces, different seed does not
-    again = landau.make_corpus(grid16, 6, 3)
+    again = list(landau.iter_corpus(grid16, 6, 3))
     assert np.array_equal(corpus[0].values, again[0].values)
-    other = landau.make_corpus(grid16, 6, 4)
+    other = list(landau.iter_corpus(grid16, 6, 4))
     assert not np.array_equal(corpus[0].values, other[0].values)

@@ -1,6 +1,7 @@
 """Flux assembly, conservation, step control, and the run loop."""
 import dataclasses
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -8,10 +9,10 @@ import pytest
 
 import landau
 from landau import _accel
-from landau.coefficients import CoefficientSet
+from landau.coefficients import CoefficientSet, Workspace
 from landau.errors import StiffnessError
 from landau.grid_field import gradient_values
-from landau.solver import StepControl, Workspace, make_state, stable_dt, step
+from landau.solver import StepControl, make_state, stable_dt, step
 
 
 # symmetric component of A for each (axis, axis) pair: xx yy zz xy xz yz
@@ -162,7 +163,8 @@ def test_stable_dt_formula(grid16):
     coeffs = landau.compute_coefficients(state.f)
     ga = coeffs.grad_a.values
     gmax = np.sqrt(float(np.max(ga[0] ** 2 + ga[1] ** 2 + ga[2] ** 2)))
-    expected = 0.4 * grid16.h**2 / (6.0 * coeffs.sup_A + grid16.h * gmax)
+    sup_A = coeffs.ellipticity_range()[1]
+    expected = 0.4 * grid16.h**2 / (6.0 * sup_A + grid16.h * gmax)
     assert stable_dt(state, control) == pytest.approx(expected, rel=1e-14)
     # dt_max clamps from above
     tight = StepControl(cfl=0.4, dt_min=1e-9, dt_max=1e-3)
@@ -249,9 +251,10 @@ def test_eig_range_once_per_recorded_state(grid16, monkeypatch):
 
 def test_step_releases_stage_coefficients(grid16):
     # a coefficient set holds 10 n^3 doubles (a, grad a, A); a step without
-    # the run's workspace allocates one workspace (13 n^3) for both of its
-    # sets and peaks near 22.5 n^3 doubles, against 44 when the stage set
-    # was alive while the new state's set was built
+    # the run's workspace allocates one workspace (29 n^3 with its spectrum
+    # pair) for both of its sets and peaks near 39.5 n^3 doubles, against
+    # 44 plus the pair when the stage set was alive while the new state's
+    # set was built
     state = make_state(landau.maxwellian(grid16))
     control = StepControl()
     step(state, control)  # warms the kernel table and state's ellipticity range
@@ -281,7 +284,7 @@ def test_state_keeps_its_rhs_not_its_coefficients(grid16):
         ga = c.grad_a.values
         assert state.grad_a_max == math.sqrt(
             float(np.max(ga[0] ** 2 + ga[1] ** 2 + ga[2] ** 2)))
-        assert (state.c0_hat, state.sup_A) == (c.c0_hat, c.sup_A)
+        assert (state.c0_hat, state.sup_A) == c.ellipticity_range()
 
 
 def test_warm_step_allocates_no_coefficient_set(grid32):
@@ -293,7 +296,7 @@ def test_warm_step_allocates_no_coefficient_set(grid32):
     work = Workspace.for_grid(grid32)
     state = make_state(landau.maxwellian(grid32), 0.0, work)
     control = StepControl()
-    step(state, control, work=work)  # warms the kernel table and spectra
+    step(state, control, work=work)  # warms the kernel table
     tracemalloc.start()
     try:
         step(state, control, work=work)
@@ -301,3 +304,63 @@ def test_warm_step_allocates_no_coefficient_set(grid32):
     finally:
         tracemalloc.stop()
     assert peak < 9.6 * n ** 3 * 8
+
+
+def test_run_frees_its_spectrum_pair(grid16):
+    # the spectrum pair belongs to the run's workspace: once the run
+    # returns, no spectrum-sized array is left, on the calling thread or
+    # elsewhere.  A fresh thread makes the check independent of what
+    # earlier tests ran on this one.
+    n = grid16.n
+    landau.kernel_table_for(grid16)
+    f = landau.maxwellian(grid16)
+    spectrum = (2 * n) ** 2 * (n + 1) * 16
+    held = []
+
+    def run_and_look():
+        landau.run(f, 0.02, StepControl(dt_max=0.01))
+        snapshot = tracemalloc.take_snapshot()
+        held.extend(t.size for t in snapshot.traces if t.size >= spectrum)
+
+    tracemalloc.start()
+    try:
+        worker = threading.Thread(target=run_and_look)
+        worker.start()
+        worker.join()
+    finally:
+        tracemalloc.stop()
+    assert held == []
+
+
+def _bimaxwellian(grid):
+    x, y, z = grid.axes
+    r2 = y * y + z * z
+    return landau.ScalarField(grid, 0.5 * (np.exp(-0.5 * ((x - 1.2) ** 2 + r2))
+                                           + np.exp(-0.5 * ((x + 1.2) ** 2 + r2))))
+
+
+@pytest.mark.parametrize("n", [16, 24])
+@pytest.mark.parametrize("lam", [2.0, 0.5])
+@pytest.mark.parametrize("bound", ["dt_max", "cfl"])
+def test_critical_scaling_is_exact(n, lam, bound):
+    # the equation is invariant under f -> lam^2 f(lam^2 t, lam v).  On the
+    # grid (n, l / lam) the nodes are v / lam, so lam^2 f has the same node
+    # array times lam^2, and for lam a power of two every scaling of the
+    # kernel table, the cell volume and the step is exact: the second run
+    # is lam^2 times the first, bit for bit, at every snapshot.  The two
+    # runs go back to back, so no buffer may carry state between runs.
+    s = lam ** -2
+    if bound == "dt_max":  # three steps of dt_max
+        control, T = StepControl(dt_max=0.01), 0.03
+    else:  # the CFL bound sets every step but the last
+        control, T = StepControl(cfl=0.02), 0.025
+    scaled = StepControl(cfl=control.cfl, dt_min=control.dt_min * s,
+                         dt_max=control.dt_max * s)
+    f = _bimaxwellian(landau.make_grid(n, 8.0))
+    g = landau.ScalarField(landau.make_grid(n, 8.0 / lam), f.values / s)
+    first = landau.run(f, T, control, snapshot_every=1)
+    second = landau.run(g, T * s, scaled, snapshot_every=1)
+    assert len(first.states) == len(second.states) >= 4
+    for a, b in zip(first.states, second.states):
+        assert (b.t, b.step_count) == (a.t * s, a.step_count)
+        assert np.array_equal(b.f.values, a.f.values / s)
