@@ -86,11 +86,13 @@ def _in_slabs(kernel, rows: int, lanes: int, chunk: int) -> None:
         future.result()
 
 
-def _lanes_and_chunk(shape) -> tuple[int, int]:
-    """Lanes and rows per chunk, at most a band, over an array of this shape."""
+def _lanes_and_chunk(shape, splits: int = 1) -> tuple[int, int]:
+    """Lanes and rows per chunk, at most a band over ``splits``, over an
+    array of this shape."""
     rows, plane = shape[0], math.prod(shape[1:])
     lanes = min(_threads(), rows)
-    return lanes, min(max(1, _CHUNK_NODES // max(1, plane)), -(-rows // lanes))
+    band = -(-rows // lanes)
+    return lanes, min(max(1, _CHUNK_NODES // max(1, plane)), -(-band // splits))
 
 
 def eig_range(
@@ -105,7 +107,10 @@ def eig_range(
     is the same bit for bit at a fraction of its temporaries.
     """
     shape = a6.shape[1:]
-    lanes, chunk = _lanes_and_chunk(shape)
+    # at least two chunks per band: on small grids one chunk would take a
+    # whole band, and the eight work arrays would span the grid and set a
+    # step's peak
+    lanes, chunk = _lanes_and_chunk(shape, splits=2)
     lmin, lmax = (np.empty(shape), np.empty(shape)) if out is None else out
     work = np.empty((lanes, 8, chunk) + shape[1:])
     isotropic = np.empty((lanes, chunk) + shape[1:], dtype=bool)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import itertools
 import math
 import os
 import struct
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import degiorgi, diagnostics, solver
-from .coefficients import kernel_table_for, spectral_vs_direct
+from .coefficients import Workspace, kernel_table_for, spectral_vs_direct
 from .errors import ConfigError, HypothesisError, LandauError
 from .grid_field import ScalarField, VelocityGrid, make_grid
 from .inequalities import (
@@ -360,28 +361,61 @@ def write_snapshot(path: str, f: ScalarField, t: float) -> None:
     header = _LCF_HEADER.pack(LCF_MAGIC, f.grid.n, f.grid.l, float(t))
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(f.values, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(f.values, dtype="<f8"))
 
 
 def read_snapshot(path: str, grid: VelocityGrid | None = None) -> tuple[ScalarField, float]:
     """The field and time in an LCF1 file; on ``grid`` when its (n, l)
-    match the file's, so equal grids share their per-node arrays."""
+    match the file's, so equal grids share their per-node arrays.  The
+    values are read straight into the field's array."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < _LCF_HEADER.size or data[:4] != LCF_MAGIC:
-        raise ConfigError(f"not an LCF1 snapshot: {path}")
-    _, n, l, t = _LCF_HEADER.unpack_from(data)
-    expected = _LCF_HEADER.size + 8 * n ** 3
-    if len(data) != expected:
-        raise ConfigError(f"truncated snapshot: {path}")
-    vals = np.frombuffer(data, dtype="<f8", offset=_LCF_HEADER.size)
+        header = fh.read(_LCF_HEADER.size)
+        if len(header) < _LCF_HEADER.size or header[:4] != LCF_MAGIC:
+            raise ConfigError(f"not an LCF1 snapshot: {path}")
+        _, n, l, t = _LCF_HEADER.unpack(header)
+        # the size is checked before n^3 values are allocated
+        if os.fstat(fh.fileno()).st_size != _LCF_HEADER.size + 8 * n ** 3:
+            raise ConfigError(f"truncated snapshot: {path}")
+        vals = np.empty((n, n, n), dtype="<f8")
+        if fh.readinto(vals) != vals.nbytes:
+            raise ConfigError(f"truncated snapshot: {path}")
     try:
         if grid is None or (grid.n, grid.l) != (n, l):
             grid = make_grid(int(n), float(l))
-        f = ScalarField(grid, vals.reshape(n, n, n).copy())
+        f = ScalarField(grid, vals)
     except ValueError as exc:  # odd or small n, bad l, non-finite values
         raise ConfigError(f"bad snapshot {path}: {exc}") from None
     return f, float(t)
+
+
+@dataclass(frozen=True)
+class FileSnapshot:
+    """A snapshot kept on disk: ``f`` reads the LCF1 file at ``path`` onto
+    ``grid`` at every access, with ``read_snapshot``'s checks, and nothing
+    of the field is held between accesses."""
+
+    path: str
+    grid: VelocityGrid
+    t: float
+    step_count: int
+
+    @property
+    def f(self) -> ScalarField:
+        return read_snapshot(self.path, self.grid)[0]
+
+
+def _snapshot_writer(outdir: str):
+    """A ``solver.run`` keeper that writes each snapshot to
+    snapshot_{i:04d}.lcf in outdir as it is taken and keeps its
+    ``FileSnapshot``."""
+    index = itertools.count()
+
+    def keep(f: ScalarField, t: float, step_count: int) -> FileSnapshot:
+        path = os.path.join(outdir, f"snapshot_{next(index):04d}.lcf")
+        write_snapshot(path, f, t)
+        return FileSnapshot(path, f.grid, t, step_count)
+
+    return keep
 
 
 # ---------------------------------------------------------------------------
@@ -567,21 +601,28 @@ def write_run_plots(outdir: str, t, linf, fisher, entropy) -> None:
 # experiment driver
 
 
-# n^3 arrays of doubles live at a run's peak, the ellipticity range of a
-# step's new state: the run's Workspace (29: the spectrum pair of the
-# coefficient transforms 16, then A, a, grad a and grad f 13), the chunk
-# scratch of eig_range (8 at n <= 32, where its 2 MB per lane spans the
-# grid; 2 at n = 64), the run's input, the old state's f and rhs and the
-# new f (4), and the grid's |v|^2, 1 + |v|^2 and two record weights (4).
-# Traced cold 3-step bimaxwellian runs, table excluded: 47.0, 46.1, 42.2
-# and 41.4 at n = 24/32/48/64.
-_STEP_ARRAYS = 48
+# n^3 arrays of doubles live at a run's peak, in the div_flux of a step's
+# new state: the run's Workspace (29: the spectrum pair of the coefficient
+# transforms 16, then A, a, grad a and grad f 13), the output and face
+# buffers of div_flux (4 at n <= 32, fewer above; eig_range's chunk
+# scratch, alive just before, is at most 4), the run's input, the old
+# state's f and rhs and the new f (4), and the grid's |v|^2, 1 + |v|^2 and
+# two record weights (4).  No snapshot is held: each goes to disk as it
+# is taken.  Traced cold runs, table excluded: 3-step bimaxwellian 44.1,
+# 42.8, 41.4 and 41.3 at n = 24/32/48/64; the harness32 configuration
+# (cadence 1, every section) 45.3-45.7, 43.8 and 42.5 at n = 24/32/48,
+# after 6 and after 24 steps.  Below n = 24 the per-step records, about a
+# kilobyte each, weigh in: 47.0 and 48.4 at n = 16.
+_STEP_ARRAYS = 46
 
 
 def _estimated_peak_bytes(n: int) -> int:
-    """Memory a run at grid size n needs at least: the kernel table, six
-    octant symbols of (n+1)^3 doubles, plus a step's working set.  The
-    interpreter's own footprint and kept snapshots come on top."""
+    """Memory a whole ``landau run`` at grid size n needs at least: the
+    kernel table, six octant symbols of (n+1)^3 doubles, plus a step's
+    working set.  The snapshots are written as they are taken and not
+    kept, so the bound holds for any step count; the interpreter's own
+    footprint and the per-step records, about a kilobyte each, come on
+    top."""
     return 6 * (n + 1) ** 3 * 8 + _STEP_ARRAYS * 8 * n ** 3
 
 
@@ -642,18 +683,19 @@ def run_experiment(config: ExperimentConfig, outdir: str) -> int:
         cfl=rc.cfl, dt_min=rc.dt_min, dt_max=rc.dt_max,
         positivity_clip=rc.positivity_clip,
     )
+    # the snapshots go to disk as they are taken, so a breakdown leaves
+    # those before it, and the run holds none of them
     traj = solver.run(
         init.field, rc.T, control,
         snapshot_every=rc.snapshot_cadence,
         p_list=dc.p_list, m_list=dc.m_list, f_floor=dc.f_floor,
+        keep=_snapshot_writer(outdir),
     )
     records = traj.records
 
     write_diagnostics_csv(
         os.path.join(outdir, "diagnostics.csv"), records, dc.p_list, dc.m_list
     )
-    for i, snap in enumerate(traj.states):
-        write_snapshot(os.path.join(outdir, f"snapshot_{i:04d}.lcf"), snap.f, snap.t)
     write_run_plots(outdir, [r.t for r in records], [r.linf for r in records],
                     [r.fisher for r in records], [r.entropy for r in records])
 
@@ -852,11 +894,12 @@ def _cmd_diagnose(args) -> int:
     p_list, m_list = (1.5,), (4.5,)
     print(CSV_SCHEMA_LINE)
     print("file," + ",".join(diagnostics_columns(p_list, m_list)))
-    grid = None
+    grid = work = None
     for path in args.snapshots:
         f, t = read_snapshot(path, grid)
-        grid = f.grid
-        state = solver.make_state(f, t)
+        if f.grid is not grid:  # one workspace per grid, not per file
+            grid, work = f.grid, Workspace.for_grid(f.grid)
+        state = solver.make_state(f, t, work)
         rec = diagnostics.record(state, p_list, m_list)
         print(f"{os.path.basename(path)}," + diagnostics_row(rec, p_list, m_list))
     return 0

@@ -115,8 +115,9 @@ def level_set_energy(
     b_vals = []
     times = []
     for s in snaps:
-        excess = np.maximum(s.f.values - level, 0.0)
-        a_val, b_val = _excess_integrals(s.f.grid, excess, p, m)
+        f = s.f  # one read of a snapshot kept on disk
+        excess = np.maximum(f.values - level, 0.0)
+        a_val, b_val = _excess_integrals(f.grid, excess, p, m)
         a_vals.append(a_val)
         b_vals.append(b_val)
         times.append(s.t)
@@ -173,8 +174,8 @@ def bulk_quantities(snap, K: float, m: float = 4.5):
     3/2-masses and their gradient terms, at threshold K and cap 2K."""
     if K < 0.0:
         raise ValueError("level must be nonnegative")
-    grid = snap.f.grid
-    fv = snap.f.values
+    f = snap.f  # one read of a snapshot kept on disk
+    grid, fv = f.grid, f.values
     y, f_term = _excess_integrals(grid, np.maximum(fv - K, 0.0), 1.5, m)
     z, g_term = _excess_integrals(
         grid, np.maximum(np.minimum(fv, 2.0 * K), 0.0), 1.5, m

@@ -464,7 +464,7 @@ def minimum_principle_monitor(
     states = trajectory.states
     if not states:
         raise ValueError("trajectory has no snapshots")
-    grid = states[0].f.grid
+    grid = trajectory.grid
     vol = grid.cell_volume()
     wn = grid.weight(n_weight)
     wk = grid.weight(params.k)

@@ -189,11 +189,17 @@ def run(
     p_list=(1.5,),
     m_list=(4.5,),
     f_floor: float = 1e-14,
+    keep=Snapshot,
 ) -> Trajectory:
     """Advance f_in to time T, recording diagnostics every step.
 
-    Snapshots are kept every ``snapshot_every`` steps from t = 0 when
-    given, and always at the endpoint.
+    Snapshots are taken every ``snapshot_every`` steps from t = 0 when
+    given, and always at the endpoint.  Each one is passed, as it is
+    taken, to ``keep(f, t, step_count)``, whose result goes into the
+    trajectory's ``states``; the default keeps f in memory as a
+    ``Snapshot``.  A keeper that stores f elsewhere and returns a record
+    reading it back on demand (any object with ``f``, ``t`` and
+    ``step_count``) bounds the run's memory whatever its step count.
     """
     if not T > 0.0:
         raise ValueError("T must be positive")
@@ -207,7 +213,7 @@ def run(
     records = [diagnostics.record(state, p_list, m_list, f_floor)]
     snaps = []
     if snapshot_every is not None:
-        snaps.append(Snapshot(state.f, state.t, 0))
+        snaps.append(keep(state.f, state.t, 0))
 
     t_end = T * (1.0 - 1e-12)
     while state.t < t_end:
@@ -218,8 +224,8 @@ def run(
             raise
         records.append(diagnostics.record(state, p_list, m_list, f_floor))
         if snapshot_every is not None and state.step_count % snapshot_every == 0:
-            snaps.append(Snapshot(state.f, state.t, state.step_count))
+            snaps.append(keep(state.f, state.t, state.step_count))
 
     if not snaps or snaps[-1].step_count != state.step_count:
-        snaps.append(Snapshot(state.f, state.t, state.step_count))
+        snaps.append(keep(state.f, state.t, state.step_count))
     return Trajectory(grid, tuple(snaps), tuple(records), float(T))

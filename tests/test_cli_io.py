@@ -3,13 +3,15 @@ command-line entry points."""
 import dataclasses
 import math
 import os
+import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
 import landau
-from landau import diagnostics, solver
+from landau import cli_io, diagnostics, solver
 from landau.cli_io import (
     CSV_SCHEMA_LINE,
     LCF_MAGIC,
@@ -23,6 +25,7 @@ from landau.cli_io import (
     read_snapshot,
     write_snapshot,
 )
+from landau.coefficients import Workspace
 from landau.degiorgi import ladder_verdict
 from landau.errors import ConfigError, HypothesisError
 from landau.grid_field import make_grid
@@ -315,6 +318,108 @@ def test_run_byte_identical(run_dirs):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_streamed_snapshots_match_the_library_trajectory(run_dirs, tmp_path):
+    # the files written as the run goes are write_snapshot of the snapshots
+    # the library keeps in memory, byte for byte, and there are no others
+    cfg, outs = run_dirs
+    config = parse_config(cfg.read_text())
+    rc, dc = config.run, config.diagnostics
+    init = make_initial_data(config, make_grid(config.grid.n, config.grid.l))
+    control = solver.StepControl(cfl=rc.cfl, dt_min=rc.dt_min, dt_max=rc.dt_max,
+                                 positivity_clip=rc.positivity_clip)
+    traj = solver.run(init.field, rc.T, control, snapshot_every=rc.snapshot_cadence,
+                      p_list=dc.p_list, m_list=dc.m_list, f_floor=dc.f_floor)
+    out = outs[0][0]
+    for i, snap in enumerate(traj.states):
+        ref = tmp_path / f"ref_{i}.lcf"
+        write_snapshot(str(ref), snap.f, snap.t)
+        assert (out / f"snapshot_{i:04d}.lcf").read_bytes() == ref.read_bytes()
+    written = sorted(name for name in os.listdir(out) if name.endswith(".lcf"))
+    assert len(written) == len(traj.states) == 4
+
+
+def test_file_snapshot_holds_no_array(tmp_path, grid8):
+    keep = cli_io._snapshot_writer(str(tmp_path))
+    f = landau.maxwellian(grid8)
+    snap = keep(f, 0.5, 3)
+    assert snap.path == str(tmp_path / "snapshot_0000.lcf")
+    assert (snap.grid, snap.t, snap.step_count) == (grid8, 0.5, 3)
+    assert not any(isinstance(v, (np.ndarray, landau.ScalarField))
+                   for v in vars(snap).values())
+    # each access reads the file anew onto the kept grid, and the field
+    # it returns is the caller's alone: dropped, its array is freed
+    g = snap.f
+    assert g.grid is grid8 and np.array_equal(g.values, f.values)
+    assert snap.f.values is not g.values
+    values = weakref.ref(g.values)
+    del g
+    assert values() is None
+    assert keep(f, 1.0, 4).path == str(tmp_path / "snapshot_0001.lcf")
+
+
+def _traced_run_peak(text: str, outdir) -> tuple[int, str]:
+    config = parse_config(text)
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            cli_io.run_experiment(config, str(outdir))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, (outdir / "summary.txt").read_text()
+
+
+def test_run_memory_does_not_grow_with_steps(tmp_path):
+    # cadence 1: each snapshot goes to disk as it is taken, so 24 steps
+    # peak where 6 do; kept in memory, the 18 more would add 18 n^3
+    n = 16
+    text = ("[grid]\nn = 16\n[initial_data]\nfamily = bimaxwellian\n"
+            "[run]\nT = {T}\ndt_max = 0.01\nsnapshot_cadence = 1\n")
+    _traced_run_peak(text.format(T=0.06), tmp_path / "warm")  # first-run caches
+    short, summary = _traced_run_peak(text.format(T=0.06), tmp_path / "short")
+    assert "steps=6 snapshots=7" in summary
+    long, summary = _traced_run_peak(text.format(T=0.24), tmp_path / "long")
+    assert "steps=24 snapshots=25" in summary
+    assert long - short < 8 * n ** 3
+
+
+@pytest.mark.parametrize("breakdown", ["dt_min", "step"])
+def test_breakdown_leaves_the_snapshots_taken(tmp_path, monkeypatch, capsys, breakdown):
+    # exit 3, and every snapshot taken before the breakdown is on disk:
+    # with dt_min above the CFL step the first step fails, after t = 0 is
+    # written; a step that fails at t = 0.03 leaves t = 0, 0.01 and 0.02
+    text = ("[grid]\nn = 16\n[initial_data]\nfamily = polytail\nk = 10.0\n"
+            "[run]\nT = 0.05\ndt_max = 0.01\nsnapshot_cadence = 1\n")
+    if breakdown == "dt_min":
+        # the CFL step is about 4 at h = 1
+        text = text.replace("dt_max = 0.01", "dt_min = 100.0\ndt_max = 100.0")
+        taken = 1
+    else:
+        taken = 3
+        step = solver.step
+
+        def failing(state, *args, **kwargs):
+            if state.step_count == taken - 1:
+                raise landau.NumericError("forced breakdown")
+            return step(state, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "step", failing)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert ("stiffness" if breakdown == "dt_min" else "forced breakdown") in err
+    names = sorted(name for name in os.listdir(out) if name.endswith(".lcf"))
+    assert names == [f"snapshot_{i:04d}.lcf" for i in range(taken)]
+    times = [read_snapshot(str(out / name))[1] for name in names]
+    assert times == pytest.approx([0.01 * i for i in range(taken)], abs=1e-15)
+    assert "summary.txt" not in os.listdir(out)
+
+
 def test_diagnostics_csv_contents(run_dirs):
     _, outs = run_dirs
     path = outs[0][0] / "diagnostics.csv"
@@ -366,7 +471,8 @@ def test_diagnose_subcommand(tmp_path, grid8, capsys):
 
 def test_diagnose_builds_each_weight_once(tmp_path, monkeypatch, capsys):
     # equal grids across the files share one grid, so <v>^4.5 (the record's
-    # norm) and <v>^3 (its ellipticity floor) are built once each
+    # norm) and <v>^3 (its ellipticity floor) are built once each, and one
+    # workspace (29 n^3 doubles) serves every file
     grid = make_grid(16, 8.0)
     paths = []
     for i, scale in enumerate((1.0, 0.8, 1.3)):
@@ -383,9 +489,18 @@ def test_diagnose_builds_each_weight_once(tmp_path, monkeypatch, capsys):
         return weight(self, m)
 
     monkeypatch.setattr(landau.VelocityGrid, "weight", counting)
+    workspaces = []
+    for_grid = Workspace.for_grid
+
+    def counting_workspace(grid):
+        workspaces.append(grid)
+        return for_grid(grid)
+
+    monkeypatch.setattr(Workspace, "for_grid", counting_workspace)
     assert main(["diagnose", *paths]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 2 + len(paths)
     assert sorted(builds) == [3.0, 4.5]
+    assert len(workspaces) == 1
 
 
 def test_convolve_check_subcommand(capsys):

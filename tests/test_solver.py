@@ -220,6 +220,20 @@ def test_run_snapshot_every(grid16):
     # records cover every step including t=0
     assert len(traj.records) == traj.states[-1].step_count + 1
     assert traj.records[0].t == 0.0
+    assert all(type(s) is landau.Snapshot for s in traj.states)
+    # a keeper gets each snapshot as it is taken; its records are the states
+    taken = []
+
+    def keep(f, t, step_count):
+        taken.append(landau.Snapshot(f, t, step_count))
+        return taken[-1]
+
+    kept = landau.run(mu, 0.1, control, snapshot_every=2, keep=keep)
+    assert len(kept.states) == len(taken) == len(traj.states)
+    for mine, record, default in zip(kept.states, taken, traj.states):
+        assert mine is record
+        assert (mine.t, mine.step_count) == (default.t, default.step_count)
+        assert np.array_equal(mine.f.values, default.f.values)
 
 
 def test_run_lands_exactly_on_T(grid16):
