@@ -9,7 +9,6 @@ from .coefficients import (
     KernelTable,
     build_kernel_table,
     compute_coefficients,
-    convolve_free_space,
     direct_convolve,
     kernel_table_for,
     spectral_vs_direct,
@@ -32,6 +31,7 @@ from .diagnostics import (
     bulk_quantities,
     eps_regularity,
     equilibrium_distance,
+    level_set_energies,
     level_set_energy,
     maxwellian,
     record,

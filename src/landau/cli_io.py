@@ -897,6 +897,9 @@ def _cmd_diagnose(args) -> int:
     grid = work = None
     for path in args.snapshots:
         f, t = read_snapshot(path, grid)
+        # a nonzero field needs positive mass for its coefficient set
+        if np.any(f.values) and not f.grid.cell_volume() * float(np.sum(f.values)) > 0.0:
+            raise ConfigError(f"bad snapshot {path}: nonpositive total mass")
         if f.grid is not grid:  # one workspace per grid, not per file
             grid, work = f.grid, Workspace.for_grid(f.grid)
         state = solver.make_state(f, t, work)

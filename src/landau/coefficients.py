@@ -11,22 +11,29 @@ octants, 6 (n+1)^3 doubles (about 13 MB at n = 64, 103 MB at n = 128),
 built from the kernels on (n+1)^3 nodes with a type-1 DCT along the even
 axes and a type-1 DST along the odd ones.
 
-Every convolution runs through one pruned transform path (Markel's FFT
-pruning): the forward transform of f goes axis by axis and never touches
-the seven-eighths of the padded input that is zero, and the inverse drops
-the discarded output rows after each axis.  ``compute_coefficients``
-transforms f once and streams the six components, one at a time, through
-a single reused spectrum buffer, multiplied a few kx-planes at a time
-against a small contiguous block that mirrors the octant with its parity
-signs.  The two spectrum buffers and a set's A, a and grad a live in one
-``Workspace`` that a run allocates at its start and reuses for every set
-it builds, so a step allocates no coefficient-sized array, and the run's
-buffers are freed when the run ends.
+``compute_coefficients`` is the one spectral route, and the one every run
+steps with (Pareschi, Russo & Toscani, JCP 165, 2000).  It runs through
+one pruned transform path (Markel's FFT pruning): the forward transform
+of f goes axis by axis and never touches the seven-eighths of the padded
+input that is zero, and the inverse drops the discarded output rows after
+each axis.  It transforms f once and streams the six components, one at
+a time, through a single reused spectrum buffer, multiplied a few
+kx-planes at a time against a small contiguous block that mirrors the
+octant with its parity signs.  The two spectrum buffers and a set's A, a
+and grad a live in one ``Workspace`` that a run allocates at its start
+and reuses for every set it builds, so a step allocates no
+coefficient-sized array, and the run's buffers are freed when the run
+ends.
+
+``direct_convolve`` is the independent reference: it sums the real-space
+kernel over every cell pair, with the one component it needs built per
+call by ``real_space_kernel``, and ``spectral_vs_direct`` compares it
+with the a and A of ``compute_coefficients``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy import fft as sp_fft
@@ -58,18 +65,15 @@ def fft_workers() -> int:
     return _accel._threads()
 
 
-@lru_cache(maxsize=1)
-def _unit_cell_kernel_average() -> float:
-    """Average of 1/(4 pi |v|) over the unit cube centered at the origin.
-
-    Gnomonic projection onto the six faces turns the weakly singular
-    integral into a smooth 2-D one:
-    integral over [-1,1]^3 of 1/|v| = 3 Q with
-    Q = integral over [-1,1]^2 of (1 + x^2 + y^2)^(-1/2)
-      = 4 (ln(2 + sqrt 3) - pi/6).
-    """
-    q = 4.0 * (np.log(2.0 + np.sqrt(3.0)) - np.pi / 6.0)
-    return 3.0 * q / (16.0 * np.pi)
+# Average of 1/(4 pi |v|) over the unit cube centered at the origin.
+# Gnomonic projection onto the six faces turns the weakly singular
+# integral into a smooth 2-D one:
+# integral over [-1,1]^3 of 1/|v| = 3 Q with
+# Q = integral over [-1,1]^2 of (1 + x^2 + y^2)^(-1/2)
+#   = 4 (ln(2 + sqrt 3) - pi/6).
+_UNIT_CELL_KERNEL_AVERAGE = (
+    3.0 * 4.0 * (np.log(2.0 + np.sqrt(3.0)) - np.pi / 6.0) / (16.0 * np.pi)
+)
 
 
 # Midpoint sums of the point-sampled kernel against a smooth f undershoot
@@ -87,7 +91,7 @@ _MIDPOINT_DEFICIT = 0.03638447
 
 def _origin_slot(h: float) -> float:
     """Scalar-kernel value at the singular cell, corrected for its lattice."""
-    return (_unit_cell_kernel_average() + _MIDPOINT_DEFICIT) / h
+    return (_UNIT_CELL_KERNEL_AVERAGE + _MIDPOINT_DEFICIT) / h
 
 
 def _kernel_geometry(off: np.ndarray):
@@ -102,22 +106,6 @@ def _kernel_geometry(off: np.ndarray):
     return o, r2, np.sqrt(r2)
 
 
-def _doubled_geometry(grid: VelocityGrid):
-    """Kernel geometry on the doubled grid in wrap order: index j holds
-    cell offset j for j <= n and j - 2n beyond."""
-    n = grid.n
-    m = 2 * n
-    j = np.arange(m)
-    return _kernel_geometry(np.where(j <= n, j, j - m).astype(float) * grid.h)
-
-
-def _scalar_kernel(grid: VelocityGrid) -> np.ndarray:
-    _, _, r = _doubled_geometry(grid)
-    scalar = 1.0 / (_FOUR_PI * r)
-    scalar[0, 0, 0] = _origin_slot(grid.h)
-    return scalar
-
-
 def _matrix_kernel(grid: VelocityGrid, comp: int, geometry) -> np.ndarray:
     """One component of Pi(v)/(8 pi |v|), in the order of _MATRIX_COMPONENTS."""
     o, r2, r = geometry
@@ -127,6 +115,23 @@ def _matrix_kernel(grid: VelocityGrid, comp: int, geometry) -> np.ndarray:
     # splits the scalar slot evenly over the diagonal
     kernel[0, 0, 0] = _origin_slot(grid.h) / 3.0 if i == k else 0.0
     return kernel
+
+
+def real_space_kernel(grid: VelocityGrid, component: str = _SCALAR_COMPONENT) -> np.ndarray:
+    """One kernel component, "scalar" or one of xx, yy, zz, xy, xz, yz, on
+    the doubled grid in wrap order: index j holds cell offset j for j <= n
+    and j - 2n beyond; the offset-n slots are not zeroed.  Built afresh on
+    every call, (2n)^3 doubles, and kept by no table."""
+    if component != _SCALAR_COMPONENT and component not in _MATRIX_COMPONENTS:
+        raise ValueError(f"unknown kernel component {component!r}")
+    n, m = grid.n, 2 * grid.n
+    j = np.arange(m)
+    geometry = _kernel_geometry(np.where(j <= n, j, j - m).astype(float) * grid.h)
+    if component != _SCALAR_COMPONENT:
+        return _matrix_kernel(grid, _MATRIX_COMPONENTS.index(component), geometry)
+    scalar = 1.0 / (_FOUR_PI * geometry[2])
+    scalar[0, 0, 0] = _origin_slot(grid.h)
+    return scalar
 
 
 @dataclass(frozen=True)
@@ -144,11 +149,8 @@ class Workspace:
     def for_grid(cls, grid: VelocityGrid) -> Workspace:
         n = grid.n
         shape = (n,) * 3
-        return cls(np.empty((10,) + shape), np.empty((3,) + shape), _spectrum_pair(n))
-
-
-def _spectrum_pair(n: int) -> np.ndarray:
-    return np.empty((2, 2 * n, 2 * n, n + 1), dtype=complex)
+        spectra = np.empty((2, 2 * n, 2 * n, n + 1), dtype=complex)
+        return cls(np.empty((10,) + shape), np.empty((3,) + shape), spectra)
 
 
 def _forward(values: np.ndarray, spec: np.ndarray, workers: int) -> np.ndarray:
@@ -180,12 +182,12 @@ _BLOCK_PLANES = 8
 
 
 def _convolutions(
-    values: np.ndarray, symbols, parities, workers: int,
-    spectra: np.ndarray, out: np.ndarray,
+    values: np.ndarray, symbols: np.ndarray, spectra: np.ndarray, out: np.ndarray
 ) -> np.ndarray:
     """Leading n^3 corner of irfftn(rfftn(values) * symbol), zero padding to
-    (2n)^3, for each octant symbol; stacked into ``out``, not scaled by h^3.
-    ``spectra`` is a ``Workspace``'s spectrum pair.
+    (2n)^3, for each of the six octant symbols, with the parities of
+    ``_ODD``; stacked into ``out``, not scaled by h^3.  ``spectra`` is a
+    ``Workspace``'s spectrum pair.
 
     values is transformed once, into the first spectrum buffer.  On the
     doubled grid a symbol is its octant mirrored by parity,
@@ -200,11 +202,12 @@ def _convolutions(
     row of ``out``.
     """
     n = values.shape[0]
+    workers = fft_workers()
     fhat = _forward(values, spectra[0], workers)
     spec = spectra[1]
     lanes = min(workers, 2 * n)
     blocks = np.empty((lanes, _BLOCK_PLANES, 2 * n, n + 1))
-    for c, parity in enumerate(parities):
+    for c, parity in enumerate(_ODD):
         _accel._in_slabs(partial(_products, fhat, spec, symbols[c], parity, blocks),
                          2 * n, lanes, _BLOCK_PLANES)
         kept = sp_fft.ifft(spec, axis=1, workers=workers, overwrite_x=True)[:, :n]
@@ -243,25 +246,15 @@ class KernelTable:
     ``build_kernel_table`` tabulates only offsets 0..n and transforms them
     with DCT-I/DST-I; the convolutions mirror kx, ky > n from the octant
     with the parity sign.  The scalar kernel needs no symbol of its own:
-    tr Pi/(8 pi r) = 1/(4 pi r) nodewise, so its symbol is the sum of the
-    diagonal three, all even.
+    tr Pi/(8 pi r) = 1/(4 pi r) nodewise, so a[f] = tr A[f].
 
-    The real-space ``scalar`` and ``matrix`` tables, offset-n slots not
-    zeroed, are built on first access; only the direct-sum route and the
-    tests read them.
+    The table holds these symbols and nothing else: the direct-sum route
+    builds the one real-space component it sums with ``real_space_kernel``
+    at each call, so no (2n)^3 table outlives it.
     """
 
     grid: VelocityGrid
     symbols: np.ndarray
-
-    @cached_property
-    def scalar(self) -> np.ndarray:
-        return _scalar_kernel(self.grid)
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        geometry = _doubled_geometry(self.grid)
-        return np.stack([_matrix_kernel(self.grid, c, geometry) for c in range(6)])
 
 
 @dataclass(frozen=True)
@@ -325,52 +318,14 @@ def _cached_table(n: int, l: float) -> KernelTable:
     return build_kernel_table(make_grid(n, l))
 
 
-def _check_table_grid(table: KernelTable, grid: VelocityGrid) -> None:
-    if table.grid is not grid and (table.grid.n, table.grid.l) != (grid.n, grid.l):
-        raise ValueError("kernel table grid does not match field grid")
-
-
-def convolve_free_space(
-    f: ScalarField, table: KernelTable, component: str = _SCALAR_COMPONENT
-) -> ScalarField:
-    """Linear free-space convolution of f against one kernel component.
-
-    Equals the direct sum h^3 sum_w K(v - w) f(w) to round-off: the zero
-    padding guarantees no periodic image reaches a retained output cell.
-    """
-    _check_table_grid(table, f.grid)
-    if component == _SCALAR_COMPONENT:
-        # the sum of the diagonal three, each even along every axis
-        khat, odd = table.symbols[0] + table.symbols[1] + table.symbols[2], _ODD[0]
-    else:
-        try:
-            c = _MATRIX_COMPONENTS.index(component)
-        except ValueError:
-            raise ValueError(f"unknown kernel component {component!r}") from None
-        khat, odd = table.symbols[c], _ODD[c]
-    n = f.grid.n
-    vals = np.empty((1, n, n, n))
-    _convolutions(f.values, (khat,), (odd,), fft_workers(), _spectrum_pair(n), vals)
-    return ScalarField(f.grid, vals[0] * f.grid.cell_volume())
-
-
-def direct_convolve(
-    f: ScalarField, table: KernelTable, component: str = _SCALAR_COMPONENT
-) -> ScalarField:
+def direct_convolve(f: ScalarField, component: str = _SCALAR_COMPONENT) -> ScalarField:
     """Reference convolution by explicit summation over all cell pairs.
 
-    Same kernel table as the spectral path, no transforms anywhere; cost
-    grows with n^6, so keep n small.  Kept as an independent route for
-    verifying the spectral result.
+    The kernel component comes from ``real_space_kernel`` on f's grid, no
+    transforms anywhere; cost grows with n^6, so keep n small.  Kept as an
+    independent route for verifying the spectral result.
     """
-    _check_table_grid(table, f.grid)
-    if component == _SCALAR_COMPONENT:
-        ker = table.scalar
-    else:
-        try:
-            ker = table.matrix[_MATRIX_COMPONENTS.index(component)]
-        except ValueError:
-            raise ValueError(f"unknown kernel component {component!r}") from None
+    ker = real_space_kernel(f.grid, component)
     n = f.grid.n
     m = 2 * n
     idx = np.indices((n, n, n)).reshape(3, -1).T
@@ -388,14 +343,16 @@ def direct_convolve(
 
 
 def spectral_vs_direct(f: ScalarField, table: KernelTable) -> dict:
-    """Max error of the spectral convolution against the direct sum, relative
-    to the direct sum's max, per component: scalar, then the matrix six."""
+    """Max error of the a and A of ``compute_coefficients(f, table)``
+    against the direct sums, relative to the direct sum's max, per
+    component: scalar (a), then the six rows of A."""
+    c = compute_coefficients(f, table)
+    spectral = (c.a.values, *c.A.values)
     errors = {}
-    for component in (_SCALAR_COMPONENT,) + _MATRIX_COMPONENTS:
-        spectral = convolve_free_space(f, table, component)
-        direct = direct_convolve(f, table, component)
-        scale = float(np.max(np.abs(direct.values)))
-        errors[component] = float(np.max(np.abs(spectral.values - direct.values))) / scale
+    for component, values in zip((_SCALAR_COMPONENT,) + _MATRIX_COMPONENTS, spectral):
+        direct = direct_convolve(f, component).values
+        scale = float(np.max(np.abs(direct)))
+        errors[component] = float(np.max(np.abs(values - direct))) / scale
     return errors
 
 
@@ -424,11 +381,12 @@ def compute_coefficients(
         raise ValueError("f has nonpositive total mass; ellipticity undefined")
     if table is None:
         table = kernel_table_for(grid)
-    _check_table_grid(table, grid)
+    elif table.grid is not grid and (table.grid.n, table.grid.l) != (grid.n, grid.l):
+        raise ValueError("kernel table grid does not match field grid")
     work = work or Workspace.for_grid(grid)
     out = work.coefficients
     a6, a_vals, grad_a = out[:6], out[6], out[7:]
-    _convolutions(f.values, table.symbols, _ODD, fft_workers(), work.spectra, a6)
+    _convolutions(f.values, table.symbols, work.spectra, a6)
     a6 *= grid.cell_volume()
     np.add(a6[0], a6[1], out=a_vals)
     a_vals += a6[2]

@@ -72,23 +72,22 @@ def measure_ladder(
     elif not K > 0.0:
         raise ValueError("subcritical ladder needs K > 0")
 
-    levels, times, energies, a_vals, b_vals = [], [], [], [], []
-    for n in range(N_levels + 1):
-        frac = 1.0 - 2.0 ** (-n)
-        t_n = t * frac
-        if regime == CRITICAL:
-            ell_n = K + frac * amplitude
-            win = diagnostics.level_set_energy(trajectory, ell_n, 1.5, 4.5, (t_n, T))
-            e_n = win.e
-        else:
-            ell_n = K * frac
-            win = diagnostics.level_set_energy(trajectory, ell_n, p, 4.5, (t_n, T))
-            e_n = win.a_sup ** 0.4 * win.b_int ** 0.6
-        levels.append(ell_n)
-        times.append(t_n)
-        energies.append(e_n)
-        a_vals.append(win.a_sup)
-        b_vals.append(win.b_int)
+    # every rung from one walk over the snapshots
+    fracs = [1.0 - 2.0 ** (-n) for n in range(N_levels + 1)]
+    times = [t * frac for frac in fracs]
+    if regime == CRITICAL:
+        levels, p_rung = [K + frac * amplitude for frac in fracs], 1.5
+    else:
+        levels, p_rung = [K * frac for frac in fracs], p
+    wins = diagnostics.level_set_energies(
+        trajectory, [(ell_n, p_rung, 4.5, (t_n, T)) for ell_n, t_n in zip(levels, times)]
+    )
+    if regime == CRITICAL:
+        energies = [win.e for win in wins]
+    else:
+        energies = [win.a_sup ** 0.4 * win.b_int ** 0.6 for win in wins]
+    a_vals = [win.a_sup for win in wins]
+    b_vals = [win.b_int for win in wins]
 
     floor = 1e-13 * (1.0 + energies[0])
     usable = tuple(e > 10.0 * floor for e in energies)

@@ -100,37 +100,56 @@ def level_set_energy(
 ) -> LevelSetWindow:
     """Windowed level-set energy: A = sup_t of the weighted p-mass of the
     excess, B = time integral (trapezoid over snapshots) of the weighted
-    gradient term, E = A + B."""
-    if level < 0.0:
-        raise ValueError("level must be nonnegative")
+    gradient term, E = A + B.  One rung of ``level_set_energies``."""
+    return level_set_energies(trajectory, [(level, p, m, window)])[0]
+
+
+def level_set_energies(trajectory, rungs) -> list:
+    """``level_set_energy`` of every rung, each a (level, p, m, window)
+    tuple with window None for the whole trajectory, in one walk over the
+    snapshots: each snapshot is read once and serves every rung whose
+    window holds it."""
     states = trajectory.states
-    if window is None:
-        window = (states[0].t, states[-1].t)
-    t1, t2 = float(window[0]), float(window[1])
-    span = max(abs(t1), abs(t2), 1.0)
-    snaps = [s for s in states if t1 - 1e-12 * span <= s.t <= t2 + 1e-12 * span]
-    if not snaps:
-        raise ValueError("empty window: no snapshots in [t1, t2]")
-    a_vals = []
-    b_vals = []
-    times = []
-    for s in snaps:
+    windows = []
+    for level, p, m, window in rungs:
+        if level < 0.0:
+            raise ValueError("level must be nonnegative")
+        if window is None:
+            window = (states[0].t, states[-1].t)
+        t1, t2 = float(window[0]), float(window[1])
+        span = max(abs(t1), abs(t2), 1.0)
+        inside = [t1 - 1e-12 * span <= s.t <= t2 + 1e-12 * span for s in states]
+        if not any(inside):
+            raise ValueError("empty window: no snapshots in [t1, t2]")
+        windows.append((float(level), float(p), float(m), t1, t2, inside))
+    a_vals = [[] for _ in windows]
+    b_vals = [[] for _ in windows]
+    times = [[] for _ in windows]
+    for i, s in enumerate(states):
+        served = [r for r, win in enumerate(windows) if win[5][i]]
+        if not served:
+            continue
         f = s.f  # one read of a snapshot kept on disk
-        excess = np.maximum(f.values - level, 0.0)
-        a_val, b_val = _excess_integrals(f.grid, excess, p, m)
-        a_vals.append(a_val)
-        b_vals.append(b_val)
-        times.append(s.t)
-    a_sup = max(a_vals)
-    if len(snaps) > 1:
-        bv = np.asarray(b_vals)
-        b_int = float(np.sum(0.5 * (bv[1:] + bv[:-1]) * np.diff(times)))
-    else:
-        b_int = 0.0
-    return LevelSetWindow(
-        level=float(level), p=float(p), m=float(m), t1=t1, t2=t2,
-        a_sup=a_sup, b_int=b_int, e=a_sup + b_int, n_snapshots=len(snaps),
-    )
+        for r in served:
+            level, p, m = windows[r][:3]
+            excess = np.maximum(f.values - level, 0.0)
+            a_val, b_val = _excess_integrals(f.grid, excess, p, m)
+            a_vals[r].append(a_val)
+            b_vals[r].append(b_val)
+            times[r].append(s.t)
+    out = []
+    for (level, p, m, t1, t2, _), a_r, b_r, t_r in zip(windows, a_vals, b_vals, times):
+        a_sup = max(a_r)
+        if len(t_r) > 1:
+            bv = np.asarray(b_r)
+            b_int = float(np.sum(0.5 * (bv[1:] + bv[:-1]) * np.diff(t_r)))
+        else:
+            b_int = 0.0
+        out.append(LevelSetWindow(
+            level=level, p=p, m=m, t1=t1, t2=t2,
+            a_sup=a_sup, b_int=b_int, e=a_sup + b_int, n_snapshots=len(t_r),
+        ))
+    return out
 
 
 def eps_regularity(trajectory, K: float, window=None) -> float:

@@ -70,8 +70,6 @@ def kernel_outputs(grid):
     lmin, lmax = _accel.eig_range(a6)
     return {
         "A": c.A.values, "a": c.a.values, "grad_a": c.grad_a.values,
-        "xz": landau.convolve_free_space(
-            field, landau.kernel_table_for(grid), "xz").values,
         "div_flux": _accel.div_flux(f, g3, a6, ga3, grid.h),
         "plain_div_flux": plain_div_flux(f, g3, a6, ga3, grid.h),
         "lmin": lmin, "lmax": lmax,

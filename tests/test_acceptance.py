@@ -17,7 +17,7 @@ from scipy import fft as sp_fft
 from scipy.special import erf
 
 import landau
-from landau import degiorgi
+from landau import coefficients, degiorgi
 from landau.cli_io import main, run_inequality_suite
 from landau.inequalities import CRITICAL, barrier_verdict, build_cutoff
 
@@ -48,10 +48,10 @@ def test_criterion_02(grid32, grid48, grid64):
     erf_rel = float(np.max(np.abs(c64.a.values - exact) / exact))
 
     # a = tr A against the scalar kernel's potential by a full padded FFT
-    # of the real-space table, a route that never reads table.symbols
+    # of the real-space kernel, a route that never reads table.symbols
     rng = np.random.default_rng(2026)
     n, m = grid32.n, 2 * grid32.n
-    scalar_hat = sp_fft.rfftn(landau.kernel_table_for(grid32).scalar)
+    scalar_hat = sp_fft.rfftn(coefficients.real_space_kernel(grid32))
     trace_rel = 0.0
     for _ in range(2):
         f = landau.ScalarField(grid32, rng.random((n, n, n)))

@@ -770,6 +770,40 @@ def test_bad_input_files_exit_2(tmp_path, capsys):
     assert main(["run", "--config", str(binary), "--out", str(tmp_path / "o")]) == 2
 
 
+def test_diagnose_nonpositive_mass_exits_2(tmp_path, capsys):
+    # readable but without positive mass: a bad input, not an internal fault
+    snap = tmp_path / "negative.lcf"
+    write_snapshot(str(snap), landau.ScalarField(make_grid(8, 4.0), -np.ones((8, 8, 8))), 0.0)
+    assert main(["diagnose", str(snap)]) == 2
+    assert f"bad snapshot {snap}: nonpositive total mass" in capsys.readouterr().err
+    zero = tmp_path / "zero.lcf"
+    write_snapshot(str(zero), landau.ScalarField(make_grid(8, 4.0), np.zeros((8, 8, 8))), 0.0)
+    assert main(["diagnose", str(zero)]) == 0  # the zero field has no dynamics
+
+
+def test_run_reads_each_snapshot_once_per_consumer(tmp_path, monkeypatch):
+    # the harness configuration at n = 16 keeps its 51 snapshots: the ladder
+    # and the barrier read each once and eps-regularity the 26 of [T/2, T],
+    # so 128 reads in all
+    reads = []
+    read = cli_io.read_snapshot
+
+    def counted(path, grid=None):
+        reads.append(os.path.basename(path))
+        return read(path, grid)
+
+    monkeypatch.setattr(cli_io, "read_snapshot", counted)
+    text = RUN_CFG.replace("T = 0.05", "T = 0.5").replace(
+        "snapshot_cadence = 2", "snapshot_cadence = 1")
+    rc, out, _ = _run_config(tmp_path, text)
+    assert rc == 0
+    names = sorted(name for name in os.listdir(out) if name.endswith(".lcf"))
+    assert len(names) == 51
+    assert len(reads) == 128
+    assert {reads.count(name) for name in names[:25]} == {2}
+    assert {reads.count(name) for name in names[25:]} == {3}
+
+
 def test_ladder_csv_layout(run_dirs):
     _, outs = run_dirs
     lines = (outs[0][0] / "ladder.csv").read_text().splitlines()

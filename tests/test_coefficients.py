@@ -25,12 +25,24 @@ def table8(grid8):
     return landau.kernel_table_for(grid8)
 
 
-def test_unit_offset_slots(grid8, table8):
+@pytest.fixture(scope="module")
+def kernels8(grid8):
+    """The seven real-space kernels on grid8, scalar first."""
+    return {comp: coefficients.real_space_kernel(grid8, comp) for comp in COMPONENTS}
+
+
+def _spectral(f, table=None):
+    """a and the six rows of A from compute_coefficients, keyed like COMPONENTS."""
+    c = landau.compute_coefficients(f, table)
+    return dict(zip(COMPONENTS, (c.a.values, *c.A.values)))
+
+
+def test_unit_offset_slots(grid8, kernels8):
     # h = 1 here, so slot (1,0,0) sits at distance 1 from the origin
     assert grid8.h == 1.0
-    assert table8.scalar[1, 0, 0] == pytest.approx(1.0 / (4 * np.pi), rel=1e-14)
+    assert kernels8["scalar"][1, 0, 0] == pytest.approx(1.0 / (4 * np.pi), rel=1e-14)
     # matrix kernel projects off the offset direction
-    xx, yy, zz, xy, xz, yz = (table8.matrix[c][1, 0, 0] for c in range(6))
+    xx, yy, zz, xy, xz, yz = (kernels8[comp][1, 0, 0] for comp in COMPONENTS[1:])
     assert xx == pytest.approx(0.0, abs=1e-15)
     assert yy == pytest.approx(1.0 / (8 * np.pi), rel=1e-14)
     assert zz == pytest.approx(1.0 / (8 * np.pi), rel=1e-14)
@@ -40,7 +52,7 @@ def test_unit_offset_slots(grid8, table8):
 def test_unit_cell_average_matches_quadrature():
     # the closed form 3Q/(16 pi), Q = 4 (ln(2 + sqrt 3) - pi/6), against
     # the frozen 2-D quadrature of Q
-    assert coefficients._unit_cell_kernel_average() == pytest.approx(S0_UNIT, rel=1e-15)
+    assert coefficients._UNIT_CELL_KERNEL_AVERAGE == pytest.approx(S0_UNIT, rel=1e-15)
 
 
 def test_import_loads_no_quadrature():
@@ -57,24 +69,23 @@ def test_import_loads_no_quadrature():
     assert proc.stdout.strip() == "False"
 
 
-def test_origin_slot_value(grid8, table8):
+def test_origin_slot_value(grid8, kernels8):
     # cell average of the kernel plus the lattice correction that cancels
     # the h^2 defect of midpoint sums; both halves are frozen independently
     expected = (S0_UNIT + LATTICE_DEFICIT + 1.0 / 24.0) / grid8.h
-    assert table8.scalar[0, 0, 0] == pytest.approx(expected, abs=2e-7)
-    for c in range(3):
-        assert table8.matrix[c][0, 0, 0] == pytest.approx(expected / 3.0, abs=1e-7)
-    for c in range(3, 6):
-        assert table8.matrix[c][0, 0, 0] == 0.0
+    assert kernels8["scalar"][0, 0, 0] == pytest.approx(expected, abs=2e-7)
+    for comp in ("xx", "yy", "zz"):
+        assert kernels8[comp][0, 0, 0] == pytest.approx(expected / 3.0, abs=1e-7)
+    for comp in ("xy", "xz", "yz"):
+        assert kernels8[comp][0, 0, 0] == 0.0
 
 
-def test_table_symmetry(table8):
+def test_table_symmetry(kernels8):
     # even kernel: slot for -j equals slot for +j
-    s = table8.scalar
+    s = kernels8["scalar"]
     assert s[1, 2, 3] == pytest.approx(s[-1, -2, -3], rel=1e-14)
-    assert np.all(np.isfinite(s))
-    for c in range(6):
-        assert np.all(np.isfinite(table8.matrix[c]))
+    for comp in COMPONENTS:
+        assert np.all(np.isfinite(kernels8[comp])), comp
 
 
 def test_trace_identity_random(grid16):
@@ -90,25 +101,25 @@ def test_trace_identity_random(grid16):
 def test_dual_route_all_components(grid8, table8):
     rng = np.random.default_rng(11)
     f = landau.ScalarField(grid8, rng.random((8, 8, 8)))
+    spectral = _spectral(f, table8)
     for comp in COMPONENTS:
-        spectral = landau.convolve_free_space(f, table8, comp)
-        direct = landau.direct_convolve(f, table8, comp)
+        direct = landau.direct_convolve(f, comp)
         scale = float(np.max(np.abs(direct.values)))
-        err = float(np.max(np.abs(spectral.values - direct.values))) / scale
+        err = float(np.max(np.abs(spectral[comp] - direct.values))) / scale
         assert err <= 1e-10, comp
 
 
-def test_delta_translation(grid8, table8):
-    # a unit point mass reproduces the kernel table itself
+def test_delta_translation(grid8, table8, kernels8):
+    # a unit point mass reproduces the kernels themselves
     n = grid8.n
     i0 = (2, 5, 3)
     vals = np.zeros((n, n, n))
     vals[i0] = 1.0 / grid8.cell_volume()
-    f = landau.ScalarField(grid8, vals)
-    a = landau.convolve_free_space(f, table8, "scalar")
+    spectral = _spectral(landau.ScalarField(grid8, vals), table8)
     for probe in ((2, 5, 3), (3, 5, 3), (2, 4, 3), (7, 0, 0)):
         off = tuple((probe[d] - i0[d]) % (2 * n) for d in range(3))
-        assert a.values[probe] == pytest.approx(table8.scalar[off], rel=1e-12)
+        assert spectral["scalar"][probe] == pytest.approx(
+            kernels8["scalar"][off], rel=1e-12)
 
 
 def test_potential_of_maxwellian(grid32):
@@ -136,13 +147,12 @@ def test_convolution_linearity(grid8, table8):
     rng = np.random.default_rng(3)
     f = rng.random((8, 8, 8))
     g = rng.random((8, 8, 8))
-    lhs = landau.convolve_free_space(
-        landau.ScalarField(grid8, 2.0 * f + 0.5 * g), table8, "scalar"
-    )
-    af = landau.convolve_free_space(landau.ScalarField(grid8, f), table8, "scalar")
-    ag = landau.convolve_free_space(landau.ScalarField(grid8, g), table8, "scalar")
-    rhs = 2.0 * af.values + 0.5 * ag.values
-    assert np.allclose(lhs.values, rhs, rtol=1e-12, atol=1e-14)
+    lhs = _spectral(landau.ScalarField(grid8, 2.0 * f + 0.5 * g), table8)
+    af = _spectral(landau.ScalarField(grid8, f), table8)
+    ag = _spectral(landau.ScalarField(grid8, g), table8)
+    for comp in COMPONENTS:
+        rhs = 2.0 * af[comp] + 0.5 * ag[comp]
+        assert np.allclose(lhs[comp], rhs, rtol=1e-12, atol=1e-14), comp
 
 
 def test_matrix_positive_semidefinite(grid16):
@@ -188,17 +198,12 @@ def test_fft_workers_env(monkeypatch):
 def test_table_grid_mismatch(grid8, grid16, table8):
     f = landau.ScalarField(grid16, np.ones((16, 16, 16)))
     with pytest.raises(ValueError, match="kernel table grid does not match"):
-        landau.convolve_free_space(f, table8, "scalar")
+        landau.compute_coefficients(f, table8)
     with pytest.raises(ValueError, match="unknown kernel component"):
-        landau.convolve_free_space(
-            landau.ScalarField(grid8, np.ones((8, 8, 8))), table8, "yx"
-        )
+        landau.direct_convolve(landau.ScalarField(grid8, np.ones((8, 8, 8))), "yx")
 
 
-@pytest.mark.parametrize(
-    "route",
-    [landau.compute_coefficients, landau.convolve_free_space, landau.direct_convolve],
-)
+@pytest.mark.parametrize("route", [landau.compute_coefficients, landau.spectral_vs_direct])
 def test_table_for_other_box_rejected(grid16, route):
     # same n, different l: the table's offsets are scaled for another h
     grid = landau.make_grid(16, 6.0)
@@ -217,17 +222,14 @@ def test_equal_grids_share_one_table():
     assert landau.kernel_table_for(landau.make_grid(8, 6.0)) is not table
 
 
-@pytest.mark.parametrize("grid_name", ["grid16", "grid32"])
-def test_streamed_matrix_matches_single_component(request, grid_name):
-    grid = request.getfixturevalue(grid_name)
-    table = landau.kernel_table_for(grid)
-    n = grid.n
-    rng = np.random.default_rng(13)
-    f = landau.ScalarField(grid, rng.random((n, n, n)))
-    c = landau.compute_coefficients(f, table)
-    for i, comp in enumerate(COMPONENTS[1:]):
-        single = landau.convolve_free_space(f, table, comp).values
-        assert np.array_equal(c.A.values[i], single), comp
+def test_direct_route_leaves_no_table_behind(grid8):
+    # the direct sums build their real-space kernels per call: after a full
+    # check the shared table still holds its symbols and no other array
+    table = landau.kernel_table_for(grid8)
+    f = landau.ScalarField(grid8, np.random.default_rng(23).random((8, 8, 8)))
+    landau.spectral_vs_direct(f, table)
+    arrays = [name for name, v in vars(table).items() if isinstance(v, np.ndarray)]
+    assert arrays == ["symbols"]
 
 
 def test_compute_coefficients_allocation_peak(grid32):
@@ -260,10 +262,10 @@ def test_ellipticity_range_matches_eager_formula(grid16):
     assert c.ellipticity_range() == (float(np.min(w3 * lmin)), float(np.max(lmax)))
 
 
-def _padded_kernels(table):
+def _padded_kernels(grid):
     """Real-space kernels, scalar first, with the offset-n planes zeroed."""
-    n = table.grid.n
-    kernels = np.concatenate([table.scalar[None], table.matrix])
+    n = grid.n
+    kernels = np.stack([coefficients.real_space_kernel(grid, comp) for comp in COMPONENTS])
     kernels[:, n] = kernels[:, :, n] = kernels[:, :, :, n] = 0.0
     return kernels
 
@@ -279,7 +281,7 @@ def test_symbols_are_real(request, grid_name):
     # and the rest of the symbol is that octant mirrored by parity
     table = landau.kernel_table_for(request.getfixturevalue(grid_name))
     n = table.grid.n
-    hats = sp_fft.rfftn(_padded_kernels(table)[1:], axes=(1, 2, 3))
+    hats = sp_fft.rfftn(_padded_kernels(table.grid)[1:], axes=(1, 2, 3))
     for c, hat in enumerate(hats):
         comp = COMPONENTS[c + 1]
         scale = float(np.max(np.abs(hat.real)))
@@ -341,10 +343,11 @@ def test_matches_full_padded_convolution(request, grid_name):
     padded = np.zeros((m, m, m))
     padded[:n, :n, :n] = f.values
     fhat = sp_fft.rfftn(padded)
-    for comp, kernel in zip(COMPONENTS, _padded_kernels(table)):
+    spectral = _spectral(f, table)
+    for comp, kernel in zip(COMPONENTS, _padded_kernels(grid)):
         full = sp_fft.irfftn(fhat * sp_fft.rfftn(kernel), s=(m, m, m))
         want = full[:n, :n, :n] * grid.cell_volume()
-        got = landau.convolve_free_space(f, table, comp).values
+        got = spectral[comp]
         scale = float(np.max(np.abs(want)))
         assert float(np.max(np.abs(got - want))) <= 1e-13 * scale, comp
 

@@ -121,6 +121,39 @@ def test_level_set_energy_validation(mu_traj):
         landau.level_set_energy(mu_traj, LS_LEVEL, window=(2.0, 3.0))
 
 
+class _CountedSnapshot:
+    """A snapshot that counts the reads of its field."""
+
+    def __init__(self, f, t, reads):
+        self._f, self.t, self.step_count, self._reads = f, t, 0, reads
+
+    @property
+    def f(self):
+        self._reads.append(self.t)
+        return self._f
+
+
+def test_level_set_energies_read_each_snapshot_once(grid16):
+    # rungs with nested, disjoint and whole windows share one walk: every
+    # snapshot is read once, and each rung equals its one-rung call
+    mu = landau.maxwellian(grid16).values
+    reads = []
+    snaps = tuple(_CountedSnapshot(landau.ScalarField(grid16, (1.0 + 0.1 * i) * mu),
+                                   0.25 * i, reads) for i in range(5))
+    traj = Trajectory(grid16, snaps, (), 1.0)
+    rungs = [(0.01, 1.5, 4.5, None), (0.02, 1.5, 4.5, (0.25, 1.0)),
+             (0.005, 2.0, 6.0, (0.5, 1.0)), (0.0, 1.5, 4.5, (0.0, 0.0))]
+    wins = landau.level_set_energies(traj, rungs)
+    assert sorted(reads) == [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert [w.n_snapshots for w in wins] == [5, 4, 3, 1]
+    for rung, win in zip(rungs, wins):
+        assert landau.level_set_energy(traj, *rung) == win
+    reads.clear()
+    with pytest.raises(ValueError, match="empty window"):
+        landau.level_set_energies(traj, rungs + [(0.01, 1.5, 4.5, (2.0, 3.0))])
+    assert reads == []  # every window is checked before the first read
+
+
 def test_eps_regularity_is_level_set_e(mu_traj):
     eps = landau.eps_regularity(mu_traj, LS_LEVEL, window=(0.0, 1.0))
     win = landau.level_set_energy(mu_traj, LS_LEVEL, 1.5, 4.5, window=(0.0, 1.0))
