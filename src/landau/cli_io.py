@@ -601,19 +601,23 @@ def write_run_plots(outdir: str, t, linf, fisher, entropy) -> None:
 # experiment driver
 
 
-# n^3 arrays of doubles live at a run's peak, in the div_flux of a step's
-# new state: the run's Workspace (29: the spectrum pair of the coefficient
-# transforms 16, then A, a, grad a and grad f 13), the output and face
-# buffers of div_flux (4 at n <= 32, fewer above; eig_range's chunk
-# scratch, alive just before, is at most 4), the run's input, the old
-# state's f and rhs and the new f (4), and the grid's |v|^2, 1 + |v|^2 and
-# two record weights (4).  No snapshot is held: each goes to disk as it
-# is taken.  Traced cold runs, table excluded: 3-step bimaxwellian 44.1,
-# 42.8, 41.4 and 41.3 at n = 24/32/48/64; the harness32 configuration
-# (cadence 1, every section) 45.3-45.7, 43.8 and 42.5 at n = 24/32/48,
-# after 6 and after 24 steps.  Below n = 24 the per-step records, about a
-# kilobyte each, weigh in: 47.0 and 48.4 at n = 16.
-_STEP_ARRAYS = 46
+# n^3 arrays of doubles live at a run's peak, in the eig_range (n >= 48)
+# or the div_flux (below) of a step's new state: the run's Workspace (22
+# plus 16 n^2 doubles: one buffer whose product spectrum overlays a, grad a
+# and grad f), the chunk scratch of eig_range (4 at n <= 48 and 2 at
+# n = 64 with two lanes, more with more lanes) or the smaller face buffers
+# of div_flux, the run's input, the old state's f and rhs and the new f
+# and rhs (5), and the grid's |v|^2, 1 + |v|^2 and the weights that the
+# ellipticity floor and the records read (3 to 5).  No snapshot is held:
+# each goes to disk as it is taken.  Traced cold runs, table excluded, two
+# lanes: 3-step bimaxwellian 37.5-38.6, 36.2-37.1, 35.3-35.8, 34.4 and
+# 32.3 at n = 16/24/32/48/64; the harness32 configuration (cadence 1,
+# every section) 39.0-40.4, 37.1-37.2, 36.3 and 35.4 at n = 16/24/32/48,
+# after 6 and after 24 steps.  One lane: bimaxwellian 38.0, 36.2, 35.2,
+# 32.7 and 31.8, harness32 37.4-37.8 and 36.2 at n = 24/32.  Four lanes:
+# bimaxwellian 36.6, 36.0 and 34.3 at n = 24/32/64.  Below n = 24 the
+# per-step records, about a kilobyte each, weigh in.
+_STEP_ARRAYS = 39
 
 
 def _estimated_peak_bytes(n: int) -> int:
@@ -903,7 +907,7 @@ def _cmd_diagnose(args) -> int:
         if f.grid is not grid:  # one workspace per grid, not per file
             grid, work = f.grid, Workspace.for_grid(f.grid)
         state = solver.make_state(f, t, work)
-        rec = diagnostics.record(state, p_list, m_list)
+        rec = diagnostics.record(state, p_list, m_list, scratch=work.coefficients[:4])
         print(f"{os.path.basename(path)}," + diagnostics_row(rec, p_list, m_list))
     return 0
 

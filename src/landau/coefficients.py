@@ -19,11 +19,14 @@ input that is zero, and the inverse drops the discarded output rows after
 each axis.  It transforms f once and streams the six components, one at
 a time, through a single reused spectrum buffer, multiplied a few
 kx-planes at a time against a small contiguous block that mirrors the
-octant with its parity signs.  The two spectrum buffers and a set's A, a
-and grad a live in one ``Workspace`` that a run allocates at its start
-and reuses for every set it builds, so a step allocates no
-coefficient-sized array, and the run's buffers are freed when the run
-ends.
+octant with its parity signs.  The spectrum of f, the product buffer, a
+set's A, a and grad a, and grad f share one buffer, a ``Workspace`` that a
+run allocates at its start and reuses for every set it builds: the
+product buffer overlays a, grad a and grad f, which are written only once
+the six products are done.  The real transforms along z run a few
+x-rows at a time straight into the spectrum and into A, and the complex
+ones run in place, so a call allocates only a chunk's scratch and the
+small product blocks, and the run's buffer is freed when the run ends.
 
 ``direct_convolve`` is the independent reference: it sums the real-space
 kernel over every cell pair, with the one component it needs built per
@@ -138,8 +141,21 @@ def real_space_kernel(grid: VelocityGrid, component: str = _SCALAR_COMPONENT) ->
 class Workspace:
     """The arrays a run writes its coefficient sets and gradients of f into:
     A, a and grad a as one (10, n, n, n) array, grad f as (3, n, n, n), and
-    the spectrum pair of the transforms, two (2n, 2n, n+1) complex arrays:
-    the spectrum of f and the product buffer of ``_convolutions``."""
+    the spectrum pair of the transforms as one (2, 2n, 2n, n+1) complex
+    array, the spectrum of f and the product buffer of ``_convolutions``.
+
+    All of them are views of one float64 buffer, shared by phase:
+
+        [spectrum of f | A rows 0-5 | a | grad a | grad f | rest of the product]
+                                    ^ the product buffer starts here
+
+    22 n^3 + 16 n^2 doubles in all.  The product buffer is live only while
+    the six rows of A are built, and a, grad a and grad f are written only
+    after that, so a set and grad f live until the next set is started.
+    Between sets the whole buffer is free, and ``diagnostics.record``
+    borrows four of its rows.  Every offset is an even number of doubles, so both complex views are
+    aligned and the transforms run on them in place.
+    """
 
     coefficients: np.ndarray
     gradient: np.ndarray
@@ -148,26 +164,54 @@ class Workspace:
     @classmethod
     def for_grid(cls, grid: VelocityGrid) -> Workspace:
         n = grid.n
-        shape = (n,) * 3
-        spectra = np.empty((2, 2 * n, 2 * n, n + 1), dtype=complex)
-        return cls(np.empty((10,) + shape), np.empty((3,) + shape), spectra)
+        shape, cube = (n,) * 3, n ** 3
+        spectrum = 8 * n * n * (n + 1)  # doubles of one (2n, 2n, n+1) complex array
+        product = spectrum + 6 * cube  # where the product buffer starts
+        buffer = np.empty(product + spectrum)
+        coefficients = buffer[spectrum : product + 4 * cube].reshape((10,) + shape)
+        gradient = buffer[product + 4 * cube : product + 7 * cube].reshape((3,) + shape)
+        spectra = np.ndarray((2, 2 * n, 2 * n, n + 1), complex, buffer,
+                             strides=(8 * product, 32 * n * (n + 1), 16 * (n + 1), 16))
+        return cls(coefficients, gradient, spectra)
+
+
+# nodes per x-row chunk of the real transforms along z: a chunk's padded
+# input and its output take about 4 doubles per node, 1 MB
+_FFT_CHUNK_NODES = 1 << 15
+
+
+def _row_chunks(n: int):
+    """Consecutive x-row ranges (lo, hi) of an n^3 grid, each of at most
+    ``_FFT_CHUNK_NODES`` nodes but at least one row."""
+    rows = max(1, _FFT_CHUNK_NODES // (n * n))
+    return ((lo, min(lo + rows, n)) for lo in range(0, n, rows))
+
+
+def _in_place(transform, x: np.ndarray, axis: int, workers: int) -> None:
+    """transform (fft or ifft) of the complex array x along axis, over x:
+    scipy runs it in place on an aligned array it may overwrite."""
+    result = transform(x, axis=axis, workers=workers, overwrite_x=True)
+    if not np.may_share_memory(result, x):  # scipy copied x
+        x[...] = result
 
 
 def _forward(values: np.ndarray, spec: np.ndarray, workers: int) -> np.ndarray:
     """rfftn of values zero-padded to m^3, one axis at a time, into spec,
     an (m, m, m/2+1) complex buffer.
 
-    The z pass writes into spec, zeroed elsewhere; the y pass runs in place
-    on its first n planes and the x pass on the whole, so rows that are
-    zero along the later axes are never transformed (FFT pruning) and no
-    pass makes a padded copy.
+    The z pass writes into spec, zeroed elsewhere, a few x-rows at a time;
+    the y pass runs in place on its first n planes and the x pass on the
+    whole, so rows that are zero along the later axes are never
+    transformed (FFT pruning) and no pass makes a padded copy of the grid.
     """
     n, m = values.shape[0], spec.shape[0]
     spec[n:] = 0.0
     spec[:n, n:] = 0.0
-    spec[:n, :n] = sp_fft.rfft(values, n=m, axis=2, workers=workers)
-    spec[:n] = sp_fft.fft(spec[:n], axis=1, workers=workers, overwrite_x=True)
-    return sp_fft.fft(spec, axis=0, workers=workers, overwrite_x=True)
+    for lo, hi in _row_chunks(n):
+        spec[lo:hi, :n] = sp_fft.rfft(values[lo:hi], n=m, axis=2, workers=workers)
+    _in_place(sp_fft.fft, spec[:n], 1, workers)
+    _in_place(sp_fft.fft, spec, 0, workers)
+    return spec
 
 
 def _halves(n: int):
@@ -198,8 +242,9 @@ def _convolutions(
     applied, and multiplies the spectrum planes by that block into the
     second spectrum buffer, so every product runs on contiguous data.  The
     inverse runs on the caller thread, axis by axis in place, and drops the
-    discarded output rows after each pass; its corner goes straight into its
-    row of ``out``.
+    discarded output rows after each pass; its last, real pass runs a few
+    x-rows at a time, and each chunk's corner goes straight into its row of
+    ``out``.  ``out`` must not overlap the second spectrum buffer.
     """
     n = values.shape[0]
     workers = fft_workers()
@@ -210,9 +255,11 @@ def _convolutions(
     for c, parity in enumerate(_ODD):
         _accel._in_slabs(partial(_products, fhat, spec, symbols[c], parity, blocks),
                          2 * n, lanes, _BLOCK_PLANES)
-        kept = sp_fft.ifft(spec, axis=1, workers=workers, overwrite_x=True)[:, :n]
-        kept = sp_fft.ifft(kept, axis=0, workers=workers, overwrite_x=True)[:n]
-        out[c] = sp_fft.irfft(kept, n=2 * n, axis=-1, workers=workers)[..., :n]
+        _in_place(sp_fft.ifft, spec, 1, workers)
+        _in_place(sp_fft.ifft, spec[:, :n], 0, workers)
+        for lo, hi in _row_chunks(n):
+            out[c, lo:hi] = sp_fft.irfft(spec[lo:hi, :n], n=2 * n, axis=-1,
+                                         workers=workers)[..., :n]
     return out
 
 

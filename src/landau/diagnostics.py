@@ -39,26 +39,61 @@ def moments(grid, values) -> tuple:
     return mass, momentum, energy
 
 
+# nodes per chunk of a compaction: 256 kB of doubles
+_COMPACT_NODES = 1 << 15
+
+
+def _compact(values: np.ndarray, mask: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """values[mask] of two flat arrays, written chunk by chunk into the head
+    of the flat array out, which it returns: the array boolean indexing
+    gives, without its grid-sized temporary (np.compress makes two)."""
+    k = 0
+    for lo in range(0, values.size, _COMPACT_NODES):
+        part = values[lo : lo + _COMPACT_NODES][mask[lo : lo + _COMPACT_NODES]]
+        out[k : k + part.size] = part
+        k += part.size
+    return out[:k]
+
+
 def record(
-    state, p_list=(1.5,), m_list=(4.5,), f_floor: float = 1e-14
+    state, p_list=(1.5,), m_list=(4.5,), f_floor: float = 1e-14,
+    scratch: np.ndarray | None = None,
 ) -> DiagnosticsRecord:
-    """All tracked functionals of one state by midpoint quadrature."""
+    """All tracked functionals of one state by midpoint quadrature.
+
+    ``scratch``, (4, n, n, n) contiguous doubles, holds the gradients, the
+    masks and the compacted arrays, and is overwritten; a run lends rows of
+    its workspace that are dead between coefficient sets.  Without it, one
+    is allocated.  The compactions give the arrays boolean indexing gives,
+    and logs and products run in place on the same operands, so every sum
+    runs over the same data as with plain expressions.
+    """
     f = state.f
     grid = f.grid
     vol = grid.cell_volume()
     fv = f.values
+    flat = fv.reshape(-1)
     t = float(state.t)
+    if scratch is None:
+        scratch = np.empty((4,) + fv.shape)
+    g, rest = scratch[:3], scratch[3]
     mass, momentum, energy = moments(grid, fv)
-    fpos = fv[fv > 0.0]
-    entropy = vol * float(np.sum(fpos * np.log(fpos)))
-    del fpos
+    # the masks go into the last row, which is free until the square root
+    mask = rest.reshape(-1).view(bool)[: flat.size]
+    np.greater(flat, 0.0, out=mask)
+    fpos = _compact(flat, mask, g[0].reshape(-1))
+    plogp = np.log(fpos, out=g[1].reshape(-1)[: fpos.size])
+    plogp *= fpos
+    entropy = vol * float(np.sum(plogp))
 
-    grad2 = squared_norm(gradient_values(grid, fv))
-    live = fv > f_floor
-    fisher = vol * float(np.sum(grad2[live] / fv[live]))
-    del grad2, live  # not alive at the second gradient
-    gs = gradient_values(grid, np.sqrt(np.maximum(fv, 0.0)))
-    fisher_sqrt = 4.0 * vol * float(np.sum(squared_norm(gs)))
+    grad2 = squared_norm(gradient_values(grid, fv, out=g)).reshape(-1)
+    np.greater(flat, f_floor, out=mask)
+    ratio = _compact(grad2, mask, g[1].reshape(-1))
+    ratio /= _compact(flat, mask, g[2].reshape(-1))
+    fisher = vol * float(np.sum(ratio))
+    root = np.maximum(fv, 0.0, out=rest)
+    np.sqrt(root, out=root)
+    fisher_sqrt = 4.0 * vol * float(np.sum(squared_norm(gradient_values(grid, root, out=g))))
 
     lp = {(p, m): weighted_lp_norm(f, p, m) for p in p_list for m in m_list}
     return DiagnosticsRecord(

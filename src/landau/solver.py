@@ -11,7 +11,9 @@ the three scalars of its coefficient set that the step bound and the
 diagnostics read, but not the set.  So no two sets are ever alive at once,
 and a run writes every set, every gradient of f and every spectrum of
 the coefficient transforms into one ``Workspace`` it allocates at the
-start.
+start; between sets the diagnostics borrow it as scratch.  The grid-sized
+arrays a step allocates are the stage f, the stage's flux divergence,
+which the new f is built in, and the new state's divergence.
 """
 from __future__ import annotations
 
@@ -136,12 +138,17 @@ def step(
 
     f0 = state.f.values
     k1 = state.rhs
-    f1 = f0 + dt * k1
+    f1 = np.multiply(k1, dt)
+    f1 += f0
     # the stage set is written over by the new state's set
     stage = ScalarField(grid, f1)
     k2 = _rhs(stage, _coefficients(stage, work), work)
-    f2 = f0 + 0.5 * dt * (k1 + k2)
-    del f1, stage, k2
+    del f1, stage
+    # f0 + 0.5 dt (k1 + k2), built in k2's memory: each element sees the
+    # same operations on the same operands as the plain expression
+    f2 = np.add(k1, k2, out=k2)
+    f2 *= 0.5 * dt
+    np.add(f0, f2, out=f2)
 
     if not np.all(np.isfinite(f2)):
         raise NumericError(f"solution lost finiteness at t={state.t + dt:.6g}")
@@ -150,11 +157,11 @@ def step(
     clipped = state.clipped_mass
     if control.positivity_clip and np.any(f2 < 0.0):
         total = float(np.sum(f2))
-        f2 = np.maximum(f2, 0.0)
+        np.maximum(f2, 0.0, out=f2)
         pos_total = float(np.sum(f2))
         clipped += (pos_total - total) * grid.cell_volume()
         if pos_total > 0.0 and total > 0.0:
-            f2 = f2 * (total / pos_total)
+            f2 *= total / pos_total
 
     return _state(
         ScalarField(grid, f2),
@@ -210,7 +217,9 @@ def run(
     grid = f_in.grid
     work = Workspace.for_grid(grid)  # freed when the run returns
     state = make_state(f_in, 0.0, work)
-    records = [diagnostics.record(state, p_list, m_list, f_floor)]
+    # between sets every row of the workspace is dead: the records' scratch
+    scratch = work.coefficients[:4]
+    records = [diagnostics.record(state, p_list, m_list, f_floor, scratch)]
     snaps = []
     if snapshot_every is not None:
         snaps.append(keep(state.f, state.t, 0))
@@ -222,7 +231,7 @@ def run(
         except NumericError as exc:
             exc.last_state = state  # state dump for post-mortem
             raise
-        records.append(diagnostics.record(state, p_list, m_list, f_floor))
+        records.append(diagnostics.record(state, p_list, m_list, f_floor, scratch))
         if snapshot_every is not None and state.step_count % snapshot_every == 0:
             snaps.append(keep(state.f, state.t, state.step_count))
 

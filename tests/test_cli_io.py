@@ -275,7 +275,8 @@ def test_snapshot_errors(tmp_path, grid8):
         read_snapshot(str(bad))
     path = str(tmp_path / "trunc.lcf")
     write_snapshot(path, landau.maxwellian(grid8), 0.0)
-    blob = open(path, "rb").read()
+    with open(path, "rb") as fh:
+        blob = fh.read()
     short = tmp_path / "short.lcf"
     short.write_bytes(blob[:-8])
     with pytest.raises(ConfigError, match="truncated snapshot"):

@@ -232,15 +232,15 @@ def test_direct_route_leaves_no_table_behind(grid8):
     assert arrays == ["symbols"]
 
 
-def test_compute_coefficients_allocation_peak(grid32):
-    # the spectrum of f and the product buffer of the six spectra are the
-    # workspace's spectrum pair, so a second call with the same workspace
-    # allocates no spectrum: its peak is one transform pass, below A and
-    # one spectrum
-    n = grid32.n
-    table = landau.kernel_table_for(grid32)
-    f = landau.maxwellian(grid32)
-    work = Workspace.for_grid(grid32)
+def _warm_peak(grid):
+    """tracemalloc peak of a second compute_coefficients with one workspace,
+    and the per-call scratch the transforms are allowed: one z-chunk's
+    padded input and output (4 + 2/n doubles a node) and the product
+    blocks of the lanes."""
+    n = grid.n
+    table = landau.kernel_table_for(grid)
+    f = landau.maxwellian(grid)
+    work = Workspace.for_grid(grid)
     landau.compute_coefficients(f, table, work)
     tracemalloc.start()
     try:
@@ -248,9 +248,71 @@ def test_compute_coefficients_allocation_peak(grid32):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    spectrum = (2 * n) ** 2 * (n + 1) * 16
-    a6 = 6 * n ** 3 * 8
-    assert peak < a6 + spectrum
+    chunk = coefficients._FFT_CHUNK_NODES * (4 + 2 / n) * 8
+    lanes = min(coefficients.fft_workers(), 2 * n)
+    blocks = lanes * coefficients._BLOCK_PLANES * 2 * n * (n + 1) * 8
+    return peak, chunk + blocks
+
+
+def test_compute_coefficients_allocation_peak(grid32):
+    # the spectra, A, a and grad a are the workspace's, the z transforms
+    # run in x-row chunks and the complex ones in place, so a second call
+    # with the same workspace allocates only the chunk budget, here one
+    # chunk of the whole grid
+    peak, budget = _warm_peak(grid32)
+    assert peak < budget
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_warm_coefficients_allocate_under_a_cube_at_n64(grid64, monkeypatch, threads):
+    # a chunk is an eighth of the grid at n = 64.  The warm peak was 4.1
+    # n^3 doubles when the y pass's in-place result was assigned back over
+    # its own memory, which numpy does through a copy
+    monkeypatch.setenv("LANDAU_THREADS", threads)
+    peak, budget = _warm_peak(grid64)
+    assert peak < budget
+    assert peak < grid64.n ** 3 * 8
+
+
+def test_workspace_shares_one_buffer_by_phase(grid16):
+    # the product spectrum overlays a, grad a and grad f, which are
+    # written only once the six rows of A are built; it overlaps neither
+    # those rows nor the spectrum of f they are built from
+    n = grid16.n
+    work = Workspace.for_grid(grid16)
+    spectrum, product = work.spectra
+    assert work.coefficients.shape == (10, n, n, n)
+    assert work.gradient.shape == (3, n, n, n)
+    assert work.spectra.shape == (2, 2 * n, 2 * n, n + 1)
+    assert np.shares_memory(product, work.coefficients[6:])
+    assert np.shares_memory(product, work.gradient)
+    assert not np.shares_memory(product, work.coefficients[:6])
+    assert not np.shares_memory(product, spectrum)
+    assert not np.shares_memory(spectrum, work.coefficients)
+    assert not np.shares_memory(spectrum, work.gradient)
+    assert not np.shares_memory(work.coefficients, work.gradient)
+    buffer = work.coefficients.base
+    assert work.gradient.base is buffer and work.spectra.base is buffer
+    assert buffer.nbytes == (22 * n ** 3 + 16 * n ** 2) * 8
+    for view in (spectrum, product):
+        assert view.flags.aligned and view.ctypes.data % 16 == 0
+
+
+def test_consecutive_sets_match_fresh_workspaces(grid16):
+    # a set is built from f alone: whatever the previous set, or the grad f
+    # written over its product spectrum, left in the workspace, the next
+    # set has the bits of one built in a fresh workspace
+    table = landau.kernel_table_for(grid16)
+    rng = np.random.default_rng(29)
+    fields = [landau.ScalarField(grid16, rng.random((16, 16, 16))) for _ in range(2)]
+    fields.append(landau.maxwellian(grid16))
+    work = Workspace.for_grid(grid16)
+    for f in fields:
+        got = landau.compute_coefficients(f, table, work)
+        want = landau.compute_coefficients(f, table, Workspace.for_grid(grid16))
+        for a, b in ((got.A, want.A), (got.a, want.a), (got.grad_a, want.grad_a)):
+            assert np.array_equal(a.values.view(np.uint64), b.values.view(np.uint64))
+        work.gradient[...] = np.nan  # grad f, as a step writes it
 
 
 def test_ellipticity_range_matches_eager_formula(grid16):

@@ -265,10 +265,11 @@ def test_eig_range_once_per_recorded_state(grid16, monkeypatch):
 
 def test_step_releases_stage_coefficients(grid16):
     # a coefficient set holds 10 n^3 doubles (a, grad a, A); a step without
-    # the run's workspace allocates one workspace (29 n^3 with its spectrum
-    # pair) for both of its sets and peaks near 39.5 n^3 doubles, against
-    # 44 plus the pair when the stage set was alive while the new state's
-    # set was built
+    # the run's workspace allocates one workspace (22 n^3 + 16 n^2, its
+    # product spectrum overlaying a, grad a and grad f) for both of its
+    # sets.  With a 29 n^3 workspace, separate spectrum pair, the step
+    # peaked at 39.5 n^3 doubles, against 44 plus the pair when the stage
+    # set was alive while the new state's set was built
     state = make_state(landau.maxwellian(grid16))
     control = StepControl()
     step(state, control)  # warms the kernel table and state's ellipticity range
@@ -279,6 +280,32 @@ def test_step_releases_stage_coefficients(grid16):
     finally:
         tracemalloc.stop()
     assert peak < 40 * grid16.n ** 3 * 8
+
+
+@pytest.mark.parametrize("clip", [False, True])
+def test_heun_update_matches_the_plain_expression(grid16, clip):
+    # the step builds its stage and the new f in place, the new f in the
+    # second stage's memory; every element sees the same operations on
+    # the same operands as the plain expressions, so the bits agree
+    vals = landau.maxwellian(grid16).values * (1.0 + 0.5 * grid16.axes[0] ** 2 / 64.0)
+    if clip:  # a dip below zero for the clip to remove
+        vals = vals - 0.25 * float(np.min(vals[vals > 1e-12]))
+    state = make_state(landau.ScalarField(grid16, vals))
+    control = StepControl(cfl=0.5, dt_max=0.05, positivity_clip=clip)
+    dt = stable_dt(state, control)
+    new = step(state, control)
+    f0, k1 = state.f.values, state.rhs
+    stage = f0 + dt * k1
+    c = landau.compute_coefficients(landau.ScalarField(grid16, stage))
+    k2 = _accel.div_flux(stage, gradient_values(grid16, stage), c.A.values,
+                         c.grad_a.values, grid16.h)
+    want = f0 + 0.5 * dt * (k1 + k2)
+    if clip:
+        assert np.any(want < 0.0)
+        total = float(np.sum(want))
+        want = np.maximum(want, 0.0)
+        want = want * (total / float(np.sum(want)))
+    assert np.array_equal(new.f.values.view(np.uint64), want.view(np.uint64))
 
 
 def test_state_keeps_its_rhs_not_its_coefficients(grid16):
