@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import degiorgi, diagnostics, solver
-from .coefficients import Workspace, kernel_table_for, spectral_vs_direct
+from .coefficients import Workspace, kernel_table_for, spectral_vs_direct, table_nbytes
 from .errors import ConfigError, HypothesisError, LandauError
 from .grid_field import ScalarField, VelocityGrid, make_grid
 from .inequalities import (
@@ -607,27 +607,28 @@ def write_run_plots(outdir: str, t, linf, fisher, entropy) -> None:
 # and grad f), the chunk scratch of eig_range (4 at n <= 48 and 2 at
 # n = 64 with two lanes, more with more lanes) or the smaller face buffers
 # of div_flux, the run's input, the old state's f and rhs and the new f
-# and rhs (5), and the grid's |v|^2, 1 + |v|^2 and the weights that the
-# ellipticity floor and the records read (3 to 5).  No snapshot is held:
-# each goes to disk as it is taken.  Traced cold runs, table excluded, two
-# lanes: 3-step bimaxwellian 37.5-38.6, 36.2-37.1, 35.3-35.8, 34.4 and
-# 32.3 at n = 16/24/32/48/64; the harness32 configuration (cadence 1,
-# every section) 39.0-40.4, 37.1-37.2, 36.3 and 35.4 at n = 16/24/32/48,
-# after 6 and after 24 steps.  One lane: bimaxwellian 38.0, 36.2, 35.2,
-# 32.7 and 31.8, harness32 37.4-37.8 and 36.2 at n = 24/32.  Four lanes:
-# bimaxwellian 36.6, 36.0 and 34.3 at n = 24/32/64.  Below n = 24 the
-# per-step records, about a kilobyte each, weigh in.
-_STEP_ARRAYS = 39
+# and rhs (5), and the weights that the ellipticity floor and the records
+# read (1 to 3); the grid keeps no |v|^2 or 1 + |v|^2 cube.  No snapshot
+# is held: each goes to disk as it is taken.  Traced cold runs, table
+# excluded, two lanes: 3-step bimaxwellian 35.6, 34.3, 33.9, 32.4 and
+# 30.3 at n = 16/24/32/48/64; the harness32 configuration (cadence 1,
+# every section) 37.1-39.7, 35.4-36.7, 34.9-35.2 and 33.5-33.6 at
+# n = 16/24/32/48, after 6 and after 24 steps.  One lane: bimaxwellian
+# 34.3, 33.2 and 29.8 at n = 24/32/64, harness32 36.2 and 34.6 at
+# n = 24/32.  Four lanes: bimaxwellian 34.6, 33.6 and 32.3 at
+# n = 24/32/64.  Below n = 24 the per-step records, about a kilobyte
+# each, weigh in.
+_STEP_ARRAYS = 38
 
 
 def _estimated_peak_bytes(n: int) -> int:
     """Memory a whole ``landau run`` at grid size n needs at least: the
-    kernel table, six octant symbols of (n+1)^3 doubles, plus a step's
+    kernel table, two octant symbols of (n+1)^3 doubles, plus a step's
     working set.  The snapshots are written as they are taken and not
     kept, so the bound holds for any step count; the interpreter's own
     footprint and the per-step records, about a kilobyte each, come on
     top."""
-    return 6 * (n + 1) ** 3 * 8 + _STEP_ARRAYS * 8 * n ** 3
+    return table_nbytes(n) + _STEP_ARRAYS * 8 * n ** 3
 
 
 def _memory_limit_bytes() -> float:

@@ -6,10 +6,13 @@ potential is a[f] = tr A[f].  The singular cell is replaced by the
 analytic average of the kernel over that cell, which keeps the quadrature
 second order.  Each component is even or odd along every axis, so its
 real symbol on the doubled (zero-padding) grid is a signed mirror image
-of its nonnegative octant (Martucci 1994).  The table keeps only the six
-octants, 6 (n+1)^3 doubles (about 13 MB at n = 64, 103 MB at n = 128),
-built from the kernels on (n+1)^3 nodes with a type-1 DCT along the even
-axes and a type-1 DST along the odd ones.
+of its nonnegative octant (Martucci 1994).  The cell lattice is cubic,
+so swapping two axes maps one kernel component onto another: yy and zz
+are transposes of xx, and xz and yz transposes of xy.  The table keeps
+only the octants of xx and xy, 2 (n+1)^3 doubles (about 4.4 MB at
+n = 64, 34 MB at n = 128), built from the kernels on (n+1)^3 nodes with
+a type-1 DCT along the even axes and a type-1 DST along the odd ones,
+and reads the other four as transposed views.
 
 ``compute_coefficients`` is the one spectral route, and the one every run
 steps with (Pareschi, Russo & Toscani, JCP 165, 2000).  It runs through
@@ -59,6 +62,12 @@ _MATRIX_COMPONENTS = ("xx", "yy", "zz", "xy", "xz", "yz")
 # per component and axis: is the kernel odd along it (the axis occurs once)?
 _ODD = tuple(
     tuple(name.count(axis) == 1 for axis in "xyz") for name in _MATRIX_COMPONENTS
+)
+# per component: the stored symbol (0: xx, 1: xy) and the axis order whose
+# transpose of it gives the component's octant
+_OCTANT_VIEWS = (
+    (0, (0, 1, 2)), (0, (1, 0, 2)), (0, (2, 1, 0)),
+    (1, (0, 1, 2)), (1, (0, 2, 1)), (1, (2, 1, 0)),
 )
 
 
@@ -226,12 +235,12 @@ _BLOCK_PLANES = 8
 
 
 def _convolutions(
-    values: np.ndarray, symbols: np.ndarray, spectra: np.ndarray, out: np.ndarray
+    values: np.ndarray, octants, spectra: np.ndarray, out: np.ndarray
 ) -> np.ndarray:
     """Leading n^3 corner of irfftn(rfftn(values) * symbol), zero padding to
-    (2n)^3, for each of the six octant symbols, with the parities of
-    ``_ODD``; stacked into ``out``, not scaled by h^3.  ``spectra`` is a
-    ``Workspace``'s spectrum pair.
+    (2n)^3, for each of the six octant symbols of ``KernelTable.octants``,
+    with the parities of ``_ODD``; stacked into ``out``, not scaled by h^3.
+    ``spectra`` is a ``Workspace``'s spectrum pair.
 
     values is transformed once, into the first spectrum buffer.  On the
     doubled grid a symbol is its octant mirrored by parity,
@@ -252,8 +261,8 @@ def _convolutions(
     spec = spectra[1]
     lanes = min(workers, 2 * n)
     blocks = np.empty((lanes, _BLOCK_PLANES, 2 * n, n + 1))
-    for c, parity in enumerate(_ODD):
-        _accel._in_slabs(partial(_products, fhat, spec, symbols[c], parity, blocks),
+    for c, (octant, parity) in enumerate(zip(octants, _ODD)):
+        _accel._in_slabs(partial(_products, fhat, spec, octant, parity, blocks),
                          2 * n, lanes, _BLOCK_PLANES)
         _in_place(sp_fft.ifft, spec, 1, workers)
         _in_place(sp_fft.ifft, spec[:, :n], 0, workers)
@@ -264,28 +273,38 @@ def _convolutions(
 
 
 def _products(fhat, spec, octant, parity, blocks, lane, lo, hi) -> None:
-    """spec = fhat * symbol on the kx-planes lo..hi-1, at most one block."""
+    """spec = fhat * symbol on the kx-planes lo..hi-1, at most one block.
+
+    octant may be a transposed view, whose rows the block gathers by plain
+    copies, and the block's signs are applied by negating it whole: numpy
+    copies a strided view straight through, where a multiply by a scalar
+    sign would run it through a buffer.
+    """
     n = octant.shape[0] - 1
     odd_x, odd_y, _ = parity
-    sign_y = -1.0 if odd_y else 1.0
-    for (first, last, ox), sign_x in zip(_halves(n), (1.0, -1.0 if odd_x else 1.0)):
+    for (first, last, ox), negate_x in zip(_halves(n), (False, odd_x)):
         start, stop = max(lo, first), min(hi, last)
         if start >= stop:
             continue
         rows = octant[ox][start - first : stop - first]
         b = blocks[lane, : stop - start]
-        np.multiply(rows, sign_x, out=b[:, : n + 1])
-        np.multiply(b[:, n - 1 : 0 : -1], sign_y, out=b[:, n + 1 :])
+        np.copyto(b[:, n + 1 :], rows[:, n - 1 : 0 : -1])
+        if odd_y:  # the mirror half's sign; the other half is copied next
+            np.negative(b, out=b)
+        np.copyto(b[:, : n + 1], rows)
+        if negate_x:
+            np.negative(b, out=b)
         np.multiply(fhat[start:stop], b, out=spec[start:stop])
 
 
 @dataclass(frozen=True)
 class KernelTable:
-    """Real transfer functions of the six matrix-kernel components.
+    """Real transfer functions of the matrix kernel, two stored symbols for
+    its six components.
 
-    ``symbols`` has shape (6, n+1, n+1, n+1) in the order xx, yy, zz, xy,
-    xz, yz: the nonnegative octant, kx, ky, kz = 0..n, of the rfftn of
-    each component tabulated on the doubled grid in wrap order, offsets
+    ``symbols`` has shape (2, n+1, n+1, n+1), the symbols of xx and of xy:
+    the nonnegative octant, kx, ky, kz = 0..n, of the rfftn of each
+    component tabulated on the doubled grid in wrap order, offsets
     -(n-1)..(n-1) per axis.  The unused slot at offset n never multiplies
     a retained output cell, so it is zeroed; each component is then even
     or odd along every axis and its symbol is real, with
@@ -295,13 +314,28 @@ class KernelTable:
     with the parity sign.  The scalar kernel needs no symbol of its own:
     tr Pi/(8 pi r) = 1/(4 pi r) nodewise, so a[f] = tr A[f].
 
-    The table holds these symbols and nothing else: the direct-sum route
-    builds the one real-space component it sums with ``real_space_kernel``
-    at each call, so no (2n)^3 table outlives it.
+    The lattice is cubic: swapping axes i and k of a kernel component
+    gives the component with i and k swapped in its name, and so does the
+    same transpose of its symbol.  ``octants`` gives all six as views of
+    the two stored symbols.  The table holds these symbols and nothing
+    else: the direct-sum route builds the one real-space component it sums
+    with ``real_space_kernel`` at each call, so no (2n)^3 table outlives it.
     """
 
     grid: VelocityGrid
     symbols: np.ndarray
+
+    def octants(self) -> tuple:
+        """The octant symbols of xx, yy, zz, xy, xz, yz: xx, its transposes
+        (1, 0, 2) and (2, 1, 0), xy, and its transposes (0, 2, 1) and
+        (2, 1, 0), all views of ``symbols``."""
+        return tuple(self.symbols[s].transpose(axes) for s, axes in _OCTANT_VIEWS)
+
+
+def table_nbytes(n: int) -> int:
+    """Bytes of the kernel table at grid size n: two octant symbols of
+    (n+1)^3 doubles."""
+    return 2 * (n + 1) ** 3 * 8
 
 
 @dataclass(frozen=True)
@@ -344,14 +378,16 @@ def build_kernel_table(grid: VelocityGrid) -> KernelTable:
     n = grid.n
     workers = fft_workers()
     geometry = _kernel_geometry(np.arange(n + 1) * grid.h)
-    symbols = np.empty((6, n + 1, n + 1, n + 1))
-    for c, odd in enumerate(_ODD):
+    symbols = np.empty((2, n + 1, n + 1, n + 1))
+    # xx and xy; the other four components are transposes of these
+    for s, c in enumerate((0, 3)):
+        odd = _ODD[c]
         hat = _matrix_kernel(grid, c, geometry)
         hat[n, :, :] = hat[:, n, :] = hat[:, :, n] = 0.0
         for axis in (2, 1, 0):
             hat = _half_dft(hat, axis, odd[axis], workers)
         # an off-diagonal component is odd along two axes: (-i)^2 = -1
-        np.multiply(hat, -1.0 if any(odd) else 1.0, out=symbols[c])
+        np.multiply(hat, -1.0 if any(odd) else 1.0, out=symbols[s])
     return KernelTable(grid=grid, symbols=symbols)
 
 
@@ -433,7 +469,7 @@ def compute_coefficients(
     work = work or Workspace.for_grid(grid)
     out = work.coefficients
     a6, a_vals, grad_a = out[:6], out[6], out[7:]
-    _convolutions(f.values, table.symbols, work.spectra, a6)
+    _convolutions(f.values, table.octants(), work.spectra, a6)
     a6 *= grid.cell_volume()
     np.add(a6[0], a6[1], out=a_vals)
     a_vals += a6[2]

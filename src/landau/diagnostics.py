@@ -30,12 +30,20 @@ class DiagnosticsRecord:
     sup_A: float
 
 
-def moments(grid, values) -> tuple:
-    """(mass, momentum, energy) of node values by midpoint quadrature."""
+def moments(grid, values, out: np.ndarray | None = None) -> tuple:
+    """(mass, momentum, energy) of node values by midpoint quadrature.
+
+    Each product summed is built in ``out``, an n^3 array, when given, and
+    |v|^2 with it, so the call allocates no grid-sized array; the sums run
+    over the same products either way."""
     vol = grid.cell_volume()
     mass = vol * float(np.sum(values))
-    momentum = tuple(vol * float(np.sum(x * values)) for x in grid.axes)
-    energy = vol * float(np.sum(grid.radius2 * values))
+    momentum = tuple(
+        vol * float(np.sum(np.multiply(x, values, out=out))) for x in grid.axes
+    )
+    weighted = grid.radius2_about((0.0, 0.0, 0.0), out=out)
+    weighted *= values
+    energy = vol * float(np.sum(weighted))
     return mass, momentum, energy
 
 
@@ -61,12 +69,13 @@ def record(
 ) -> DiagnosticsRecord:
     """All tracked functionals of one state by midpoint quadrature.
 
-    ``scratch``, (4, n, n, n) contiguous doubles, holds the gradients, the
-    masks and the compacted arrays, and is overwritten; a run lends rows of
-    its workspace that are dead between coefficient sets.  Without it, one
-    is allocated.  The compactions give the arrays boolean indexing gives,
-    and logs and products run in place on the same operands, so every sum
-    runs over the same data as with plain expressions.
+    ``scratch``, (4, n, n, n) contiguous doubles, holds the moments'
+    products, the gradients, the masks and the compacted arrays, and is
+    overwritten; a run lends rows of its workspace that are dead between
+    coefficient sets.  Without it, one is allocated.  The compactions give
+    the arrays boolean indexing gives, and logs and products run in place
+    on the same operands, so every sum runs over the same data as with
+    plain expressions.
     """
     f = state.f
     grid = f.grid
@@ -77,7 +86,7 @@ def record(
     if scratch is None:
         scratch = np.empty((4,) + fv.shape)
     g, rest = scratch[:3], scratch[3]
-    mass, momentum, energy = moments(grid, fv)
+    mass, momentum, energy = moments(grid, fv, rest)
     # the masks go into the last row, which is free until the square root
     mask = rest.reshape(-1).view(bool)[: flat.size]
     np.greater(flat, 0.0, out=mask)

@@ -3,7 +3,9 @@
 Provides the quadrature, differential stencils, polynomial weights and
 level-set decompositions that every other module builds on.  Nodes sit at
 cell centers, so no node ever lands on v = 0 and singular kernels are
-evaluated only off the origin.
+evaluated only off the origin.  A grid stores its 1-D axis and the
+weights <v>^m it was asked for, and no coordinate cube: |v|^2 and
+1 + |v|^2 are computed from the axis at each read.
 """
 from __future__ import annotations
 
@@ -32,19 +34,24 @@ class VelocityGrid:
         a = self.axis
         return a[:, None, None], a[None, :, None], a[None, None, :]
 
-    def radius2_about(self, center) -> np.ndarray:
-        """|v - center|^2 at the nodes, from the squared 1-D axis offsets."""
+    def radius2_about(self, center, out: np.ndarray | None = None) -> np.ndarray:
+        """|v - center|^2 at the nodes, from the squared 1-D axis offsets,
+        written into ``out`` when given."""
         sx, sy, sz = ((self.axis - c) ** 2 for c in center)
-        return (sx[:, None, None] + sy[None, :, None]) + sz[None, None, :]
+        return np.add(sx[:, None, None] + sy[None, :, None], sz[None, None, :], out=out)
 
-    @cached_property
+    @property
     def radius2(self) -> np.ndarray:
-        return _read_only(self.radius2_about((0.0, 0.0, 0.0)))
+        """|v|^2 at the nodes, a new array at each read."""
+        return self.radius2_about((0.0, 0.0, 0.0))
 
-    @cached_property
+    @property
     def bracket2(self) -> np.ndarray:
-        """Squared Japanese bracket 1 + |v|^2 at the nodes."""
-        return _read_only(1.0 + self.radius2)
+        """Squared Japanese bracket 1 + |v|^2 at the nodes, a new array at
+        each read."""
+        b = self.radius2
+        b += 1.0
+        return b
 
     @cached_property
     def _weights(self) -> dict:

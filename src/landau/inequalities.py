@@ -222,6 +222,39 @@ def interpolation_reports(
     ]
 
 
+def _poincare_terms(g: ScalarField, phi: ScalarField, p: float, q: float) -> tuple:
+    """(LHS, G, M, N) of one eps-Poincare pair: the weighted masses of
+    phi^2 g^(p+1) and phi^2 g^p, of g^q, and the gradient term of phi g^(p/2).
+
+    A function of its own, so no temporary of a pair stays bound while the
+    next one is built.  Every product is formed in place in one of its
+    factors, so the sums see the bits of the plain expressions, and the
+    gradient is taken once the other terms are freed.
+    """
+    grid = g.grid
+    vol = grid.cell_volume()
+    w92, w32 = grid.weight(4.5), grid.weight(1.5)
+    gv = np.maximum(g.values, 0.0)
+    pv = phi.values
+    gp = gv ** p
+    wpp = w92 * pv
+    wpp *= pv
+    term = gv ** (p + 1.0)
+    term *= wpp
+    lhs = vol * float(np.sum(term))
+    wpp *= gp
+    mterm = vol * float(np.sum(wpp))
+    term = gp if q == p else gv ** q
+    term *= w92
+    nq = vol * float(np.sum(term))
+    del gp, wpp
+    term = gv ** (0.5 * p)
+    term *= pv
+    grad2 = squared_norm(gradient_values(grid, term))
+    grad2 *= w32
+    return lhs, vol * float(np.sum(grad2)), mterm, nq
+
+
 def check_eps_poincare(
     pairs: Iterable[tuple[ScalarField, ScalarField]],
     q: float,
@@ -246,18 +279,7 @@ def check_eps_poincare(
 
     samples = []
     for g, phi in pairs:
-        grid = g.grid
-        vol = grid.cell_volume()
-        w92, w32 = grid.weight(4.5), grid.weight(1.5)
-        gv = np.maximum(g.values, 0.0)
-        pv = phi.values
-        wpp = w92 * pv * pv
-        lhs = vol * float(np.sum(wpp * gv ** (p + 1.0)))
-        grad2 = squared_norm(gradient_values(grid, pv * gv ** (0.5 * p)))
-        gterm = vol * float(np.sum(w32 * grad2))
-        gp = gv ** p
-        mterm = vol * float(np.sum(wpp * gp))
-        nq = vol * float(np.sum(w92 * (gp if q == p else gv ** q)))
+        lhs, gterm, mterm, nq = _poincare_terms(g, phi, p, q)
         if mterm <= 0.0 or nq <= 0.0:
             continue  # degenerate sample, skipped
         nfac = nq ** (2.0 / (2.0 * q - 3.0))

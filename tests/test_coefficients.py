@@ -339,18 +339,19 @@ def _mirror_signs(component):
 
 @pytest.mark.parametrize("grid_name", ["grid8", "grid16", "grid32"])
 def test_symbols_are_real(request, grid_name):
-    # the table holds the nonnegative octant of each full rfftn symbol,
-    # and the rest of the symbol is that octant mirrored by parity
+    # each of the six views of the table is the nonnegative octant of its
+    # component's full rfftn symbol, and the rest of the symbol is that
+    # octant mirrored by parity
     table = landau.kernel_table_for(request.getfixturevalue(grid_name))
     n = table.grid.n
     hats = sp_fft.rfftn(_padded_kernels(table.grid)[1:], axes=(1, 2, 3))
-    for c, hat in enumerate(hats):
+    for c, (hat, view) in enumerate(zip(hats, table.octants(), strict=True)):
         comp = COMPONENTS[c + 1]
         scale = float(np.max(np.abs(hat.real)))
         tol = 1e-13 * scale
         assert float(np.max(np.abs(hat.imag))) <= 1e-12 * scale, comp
         octant = hat.real[: n + 1, : n + 1]
-        assert np.allclose(table.symbols[c], octant, rtol=0.0, atol=tol), comp
+        assert np.allclose(view, octant, rtol=0.0, atol=tol), comp
         sx, sy = _mirror_signs(comp)
         assert np.allclose(hat.real[n + 1 :], sx * hat.real[n - 1 : 0 : -1],
                            rtol=0.0, atol=tol), comp
@@ -366,10 +367,10 @@ def _full_grid_coefficients(f, table):
     spec = np.empty((2 * n, 2 * n, n + 1), dtype=complex)
     fhat = coefficients._forward(f.values, spec, workers)
     a6 = np.empty((6, n, n, n))
-    for c, comp in enumerate(COMPONENTS[1:]):
+    for c, (comp, octant) in enumerate(zip(COMPONENTS[1:], table.octants())):
         sx, sy = _mirror_signs(comp)
         sym = np.empty((2 * n, 2 * n, n + 1))
-        sym[: n + 1, : n + 1] = table.symbols[c]
+        sym[: n + 1, : n + 1] = octant
         sym[n + 1 :, : n + 1] = sx * sym[n - 1 : 0 : -1, : n + 1]
         sym[:, n + 1 :] = sy * sym[:, n - 1 : 0 : -1]
         spec = sp_fft.ifft(fhat * sym, axis=1, workers=workers)[:, :n]
@@ -422,5 +423,6 @@ def test_table_holds_only_real_symbols(request, grid_name):
     arrays = [getattr(table, f.name) for f in dataclasses.fields(table)]
     arrays = [a for a in arrays if isinstance(a, np.ndarray)]
     assert not any(np.iscomplexobj(a) for a in arrays)
-    # the nonnegative octant of the six symbols, nothing else
-    assert sum(a.nbytes for a in arrays) == 6 * (n + 1) ** 3 * 8
+    # the nonnegative octant of the xx and xy symbols, nothing else
+    assert sum(a.nbytes for a in arrays) == coefficients.table_nbytes(n)
+    assert coefficients.table_nbytes(n) == 2 * (n + 1) ** 3 * 8

@@ -92,14 +92,26 @@ def test_weight_built_once_per_index(weight_builds):
     assert np.array_equal(w, grid.bracket2 ** 2.25)
     with pytest.raises(ValueError, match="read-only"):
         w[0, 0, 0] = 0.0
-    with pytest.raises(ValueError, match="read-only"):
-        grid.radius2[0, 0, 0] = 0.0
     # <v>^2000 overflows at the corners even in log space
     with np.errstate(over="ignore"), pytest.raises(
         ValueError, match="field values must be finite"
     ):
         grid.weight(2000.0)
     assert builds == [4.5, 3.0]
+
+
+def test_grid_keeps_no_coordinate_cube():
+    # |v|^2 and 1 + |v|^2 are new arrays at each read, so writing into one
+    # changes no later read; the only cubes a grid keeps are its weights
+    grid = landau.make_grid(16, 8.0)
+    r2 = grid.radius2
+    r2[0, 0, 0] = -1.0
+    assert grid.radius2[0, 0, 0] == 3 * (7.5 * grid.h) ** 2
+    assert grid.bracket2 is not grid.bracket2
+    w = grid.weight(4.5)
+    cubes = [v for v in vars(grid).values() if isinstance(v, np.ndarray) and v.ndim == 3]
+    assert cubes == []
+    assert list(grid._weights.values()) == [w]
 
 
 def test_grid_with_weights_freed_without_gc():

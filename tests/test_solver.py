@@ -405,3 +405,37 @@ def test_critical_scaling_is_exact(n, lam, bound):
     for a, b in zip(first.states, second.states):
         assert (b.t, b.step_count) == (a.t * s, a.step_count)
         assert np.array_equal(b.f.values, a.f.values / s)
+
+
+# the cube symmetries the oracle applies: how each maps a field, and which
+# component of A, with which sign, lands in each slot (xx yy zz xy xz yz)
+_CUBE_SYMMETRIES = {
+    "swap_xy": (lambda v: v.transpose(1, 0, 2), (1, 0, 2, 3, 5, 4), (1,) * 6),
+    "reflect_x": (lambda v: v[::-1], (0, 1, 2, 3, 4, 5), (1, 1, 1, -1, -1, 1)),
+}
+
+
+@pytest.mark.parametrize("n", [16, 24])
+@pytest.mark.parametrize("symmetry", sorted(_CUBE_SYMMETRIES))
+def test_run_commutes_with_cube_symmetries(n, symmetry):
+    # the equation commutes with every symmetry of the cube, and so does the
+    # grid: running the swapped or reflected datum gives the swapped or
+    # reflected f, and its A is that of f with its components permuted and
+    # sign-flipped; the routes differ only in the order of their rounding
+    move, order, signs = _CUBE_SYMMETRIES[symmetry]
+    grid = landau.make_grid(n, 8.0)
+    x, y, z = grid.axes
+    f0 = (np.exp(-0.5 * ((x - 0.9) ** 2 / 1.4 + (y + 0.4) ** 2 / 0.7 + (z - 0.2) ** 2))
+          + 0.4 * np.exp(-0.5 * ((x + 1.1) ** 2 + (y - 0.8) ** 2 / 1.6 + z * z / 0.6
+                                 - 0.5 * x * y)))
+    control = StepControl(dt_max=0.05)
+    runs = [landau.run(landau.ScalarField(grid, v), 0.2, control, snapshot_every=1)
+            for v in (f0, np.ascontiguousarray(move(f0)))]
+    assert len(runs[0].states) == len(runs[1].states) == 5
+    scale = float(np.max(f0))
+    for a, b in zip(*(r.states for r in runs)):
+        assert float(np.max(np.abs(b.f.values - move(a.f.values)))) <= 1e-13 * scale
+    A, moved_A = (landau.compute_coefficients(r.states[-1].f).A.values for r in runs)
+    scale = float(np.max(np.abs(A)))
+    for c, (src, sign) in enumerate(zip(order, signs)):
+        assert float(np.max(np.abs(moved_A[c] - sign * move(A[src])))) <= 1e-13 * scale
