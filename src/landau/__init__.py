@@ -70,11 +70,8 @@ from .inequalities import (
 )
 from .solver import (
     SimulationState,
-    Snapshot,
     StepControl,
-    Trajectory,
     make_state,
-    run,
     stable_dt,
     step,
 )

@@ -1,18 +1,21 @@
-"""Configuration, experiment orchestration, persistence, and plots.
+"""Configuration, the run loop, experiment orchestration, persistence,
+and plots.
 
 INI-style config text maps onto nested dataclasses; initial-data families
 are sampled and discretely renormalized to mass 1, momentum 0, energy 3;
-results land on disk as CSV (repr-formatted cells so reruns are
-byte-identical), raw LCF1 snapshots, hand-rolled SVG polylines, and a
-summary text block.  The argparse front end maps error classes onto exit
-codes: config and unreadable input 2, numeric 3, failed hypothesis 4,
-failed checks 1; any other error propagates with its traceback (exit 1).
+``run_trajectory``, the package's one run loop, steps them to T with
+``solver.step``, records diagnostics every step and writes each snapshot
+as it is taken; results land on disk as CSV (repr-formatted cells so
+reruns are byte-identical), raw LCF1 snapshots, hand-rolled SVG
+polylines, and a summary text block.  The argparse front end maps error
+classes onto exit codes: config and unreadable input 2, numeric 3,
+failed hypothesis 4, failed checks 1; any other error propagates with
+its traceback (exit 1).
 """
 from __future__ import annotations
 
 import argparse
 import configparser
-import itertools
 import math
 import os
 import struct
@@ -404,18 +407,15 @@ class FileSnapshot:
         return read_snapshot(self.path, self.grid)[0]
 
 
-def _snapshot_writer(outdir: str):
-    """A ``solver.run`` keeper that writes each snapshot to
-    snapshot_{i:04d}.lcf in outdir as it is taken and keeps its
-    ``FileSnapshot``."""
-    index = itertools.count()
+@dataclass(frozen=True)
+class Trajectory:
+    """A run to time T: its ``FileSnapshot``s and one diagnostics record
+    per step, t = 0 included."""
 
-    def keep(f: ScalarField, t: float, step_count: int) -> FileSnapshot:
-        path = os.path.join(outdir, f"snapshot_{next(index):04d}.lcf")
-        write_snapshot(path, f, t)
-        return FileSnapshot(path, f.grid, t, step_count)
-
-    return keep
+    grid: VelocityGrid
+    states: tuple
+    records: tuple
+    T: float
 
 
 # ---------------------------------------------------------------------------
@@ -662,6 +662,41 @@ def _check_memory(n: int) -> None:
         )
 
 
+def run_trajectory(f0: ScalarField, rc: RunControlConfig, dc: DiagnosticsConfig,
+                   outdir: str) -> Trajectory:
+    """Advance f0 to time rc.T, recording diagnostics every step.
+
+    A snapshot is taken every ``rc.snapshot_cadence`` steps from t = 0 and
+    always at T, and written to snapshot_{i:04d}.lcf in outdir as it is
+    taken: a breakdown leaves those before it, and the run holds none of
+    them.  One ``Workspace`` takes every coefficient set of the run; between
+    sets its first four rows are the records' scratch.
+    """
+    T = rc.T
+    if not T > 0.0:
+        raise ValueError("T must be positive")
+    if float(np.min(f0.values)) < -1e-12 * max(1.0, float(np.max(f0.values))):
+        raise ValueError("initial data must be nonnegative")
+    control = solver.StepControl(cfl=rc.cfl, dt_min=rc.dt_min, dt_max=rc.dt_max,
+                                 positivity_clip=rc.positivity_clip)
+    grid = f0.grid
+    work = Workspace.for_grid(grid)  # freed when the run returns
+    scratch = work.coefficients[:4]
+    snaps, records = [], []
+    t_end = T * (1.0 - 1e-12)
+    state = solver.make_state(f0, 0.0, work)
+    while True:
+        records.append(diagnostics.record(state, dc.p_list, dc.m_list, dc.f_floor, scratch))
+        done = state.t >= t_end
+        if done or state.step_count % rc.snapshot_cadence == 0:
+            path = os.path.join(outdir, f"snapshot_{len(snaps):04d}.lcf")
+            write_snapshot(path, state.f, state.t)
+            snaps.append(FileSnapshot(path, grid, state.t, state.step_count))
+        if done:
+            return Trajectory(grid, tuple(snaps), tuple(records), float(T))
+        state = solver.step(state, control, dt_limit=T - state.t, work=work)
+
+
 def _check_line(name: str, ok: bool, detail: str) -> str:
     return f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}"
 
@@ -683,19 +718,8 @@ def run_experiment(config: ExperimentConfig, outdir: str) -> int:
     # before the kernel table is built, so a run that cannot fit exits 2
     _check_memory(grid.n)
     init = make_initial_data(config, grid)
-    rc, dc = config.run, config.diagnostics
-    control = solver.StepControl(
-        cfl=rc.cfl, dt_min=rc.dt_min, dt_max=rc.dt_max,
-        positivity_clip=rc.positivity_clip,
-    )
-    # the snapshots go to disk as they are taken, so a breakdown leaves
-    # those before it, and the run holds none of them
-    traj = solver.run(
-        init.field, rc.T, control,
-        snapshot_every=rc.snapshot_cadence,
-        p_list=dc.p_list, m_list=dc.m_list, f_floor=dc.f_floor,
-        keep=_snapshot_writer(outdir),
-    )
+    dc = config.diagnostics
+    traj = run_trajectory(init.field, config.run, dc, outdir)
     records = traj.records
 
     write_diagnostics_csv(

@@ -63,11 +63,7 @@ class VelocityGrid:
         m = float(m)
         w = self._weights.get(m)
         if w is None:
-            if abs(m) > 40.0:
-                # log-space evaluation avoids overflow for the large exponents
-                w = np.exp(0.5 * m * np.log1p(self.radius2))
-            else:
-                w = self.bracket2 ** (0.5 * m)
+            w = self.bracket2 ** (0.5 * m)
             if not np.all(np.isfinite(w)):
                 raise ValueError("field values must be finite")
             w = self._weights[m] = _read_only(w)
@@ -83,10 +79,7 @@ class ScalarField:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.values.shape != (self.grid.n,) * 3:
-            raise ValueError("values shape does not match grid")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("field values must be finite")
+        _check_values(self, ())
 
 
 @dataclass(frozen=True)
@@ -95,10 +88,7 @@ class VectorField:
     values: np.ndarray  # shape (3, n, n, n)
 
     def __post_init__(self) -> None:
-        if self.values.shape != (3,) + (self.grid.n,) * 3:
-            raise ValueError("values shape does not match grid")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("field values must be finite")
+        _check_values(self, (3,))
 
 
 @dataclass(frozen=True)
@@ -109,10 +99,16 @@ class SymMatrixField:
     values: np.ndarray  # shape (6, n, n, n)
 
     def __post_init__(self) -> None:
-        if self.values.shape != (6,) + (self.grid.n,) * 3:
-            raise ValueError("values shape does not match grid")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("field values must be finite")
+        _check_values(self, (6,))
+
+
+def _check_values(field, lead: tuple) -> None:
+    """Raise ValueError unless the field's values are finite and of shape
+    lead + (n, n, n)."""
+    if field.values.shape != lead + (field.grid.n,) * 3:
+        raise ValueError("values shape does not match grid")
+    if not np.all(np.isfinite(field.values)):
+        raise ValueError("field values must be finite")
 
 
 def _read_only(values: np.ndarray) -> np.ndarray:

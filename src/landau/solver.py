@@ -6,14 +6,16 @@ the exact adjoint of the face difference, so total mass telescopes to
 round-off every step.  Heun two-stage stepping with a parabolic CFL bound;
 the nonlocal coefficients are rebuilt at each stage.
 
-A state keeps its flux divergence, the first stage of the next step, and
-the three scalars of its coefficient set that the step bound and the
-diagnostics read, but not the set.  So no two sets are ever alive at once,
-and a run writes every set, every gradient of f and every spectrum of
-the coefficient transforms into one ``Workspace`` it allocates at the
-start; between sets the diagnostics borrow it as scratch.  The grid-sized
-arrays a step allocates are the stage f, the stage's flux divergence,
-which the new f is built in, and the new state's divergence.
+This module is a stepper: ``make_state`` and ``step``.  The run loop that
+drives it to a time T, records diagnostics and writes snapshots is
+``cli_io.run_trajectory``.  A state keeps its flux divergence, the first
+stage of the next step, and the three scalars of its coefficient set that
+the step bound and the diagnostics read, but not the set.  So no two sets
+are ever alive at once, and a caller that passes one ``Workspace`` to
+every step has every set, every gradient of f and every spectrum of the
+coefficient transforms written into it.  The grid-sized arrays a step
+allocates are the stage f, the stage's flux divergence, which the new f
+is built in, and the new state's divergence.
 """
 from __future__ import annotations
 
@@ -22,10 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _accel, diagnostics
+from . import _accel
 from .coefficients import CoefficientSet, Workspace, compute_coefficients
 from .errors import NumericError, StiffnessError
-from .grid_field import ScalarField, VelocityGrid, gradient_values, squared_norm
+from .grid_field import ScalarField, gradient_values, squared_norm
 
 
 @dataclass(frozen=True)
@@ -171,70 +173,3 @@ def step(
         undershoot=undershoot,
         clipped_mass=clipped,
     )
-
-
-@dataclass(frozen=True)
-class Snapshot:
-    f: ScalarField
-    t: float
-    step_count: int
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    grid: VelocityGrid
-    states: tuple
-    records: tuple
-    T: float
-
-
-def run(
-    f_in: ScalarField,
-    T: float,
-    control: StepControl | None = None,
-    snapshot_every: int | None = None,
-    p_list=(1.5,),
-    m_list=(4.5,),
-    f_floor: float = 1e-14,
-    keep=Snapshot,
-) -> Trajectory:
-    """Advance f_in to time T, recording diagnostics every step.
-
-    Snapshots are taken every ``snapshot_every`` steps from t = 0 when
-    given, and always at the endpoint.  Each one is passed, as it is
-    taken, to ``keep(f, t, step_count)``, whose result goes into the
-    trajectory's ``states``; the default keeps f in memory as a
-    ``Snapshot``.  A keeper that stores f elsewhere and returns a record
-    reading it back on demand (any object with ``f``, ``t`` and
-    ``step_count``) bounds the run's memory whatever its step count.
-    """
-    if not T > 0.0:
-        raise ValueError("T must be positive")
-    if float(np.min(f_in.values)) < -1e-12 * max(1.0, float(np.max(f_in.values))):
-        raise ValueError("initial data must be nonnegative")
-    control = control or StepControl()
-
-    grid = f_in.grid
-    work = Workspace.for_grid(grid)  # freed when the run returns
-    state = make_state(f_in, 0.0, work)
-    # between sets every row of the workspace is dead: the records' scratch
-    scratch = work.coefficients[:4]
-    records = [diagnostics.record(state, p_list, m_list, f_floor, scratch)]
-    snaps = []
-    if snapshot_every is not None:
-        snaps.append(keep(state.f, state.t, 0))
-
-    t_end = T * (1.0 - 1e-12)
-    while state.t < t_end:
-        try:
-            state = step(state, control, dt_limit=T - state.t, work=work)
-        except NumericError as exc:
-            exc.last_state = state  # state dump for post-mortem
-            raise
-        records.append(diagnostics.record(state, p_list, m_list, f_floor, scratch))
-        if snapshot_every is not None and state.step_count % snapshot_every == 0:
-            snaps.append(keep(state.f, state.t, state.step_count))
-
-    if not snaps or snaps[-1].step_count != state.step_count:
-        snaps.append(keep(state.f, state.t, state.step_count))
-    return Trajectory(grid, tuple(snaps), tuple(records), float(T))

@@ -320,32 +320,40 @@ def test_run_byte_identical(run_dirs):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-def test_streamed_snapshots_match_the_library_trajectory(run_dirs, tmp_path):
-    # the files written as the run goes are write_snapshot of the snapshots
-    # the library keeps in memory, byte for byte, and there are no others
-    cfg, outs = run_dirs
-    config = parse_config(cfg.read_text())
-    rc, dc = config.run, config.diagnostics
-    init = make_initial_data(config, make_grid(config.grid.n, config.grid.l))
-    control = solver.StepControl(cfl=rc.cfl, dt_min=rc.dt_min, dt_max=rc.dt_max,
-                                 positivity_clip=rc.positivity_clip)
-    traj = solver.run(init.field, rc.T, control, snapshot_every=rc.snapshot_cadence,
-                      p_list=dc.p_list, m_list=dc.m_list, f_floor=dc.f_floor)
-    out = outs[0][0]
-    for i, snap in enumerate(traj.states):
-        ref = tmp_path / f"ref_{i}.lcf"
-        write_snapshot(str(ref), snap.f, snap.t)
-        assert (out / f"snapshot_{i:04d}.lcf").read_bytes() == ref.read_bytes()
-    written = sorted(name for name in os.listdir(out) if name.endswith(".lcf"))
-    assert len(written) == len(traj.states) == 4
+def test_run_snapshots_match_a_reference_loop(tmp_path):
+    # the snapshot files of run_trajectory are the states of a plain loop
+    # over solver.step that takes a snapshot every snapshot_cadence steps
+    # and at T, bit for bit, and there are no others; one record per step
+    config = parse_config(RUN_CFG)
+    rc = config.run
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the polytail's domain warning
+        init = make_initial_data(config, make_grid(config.grid.n, config.grid.l))
+    traj = cli_io.run_trajectory(init.field, rc, config.diagnostics, str(tmp_path))
+    control = solver.StepControl(rc.cfl, rc.dt_min, rc.dt_max, rc.positivity_clip)
+    states = [solver.make_state(init.field)]
+    while states[-1].t < rc.T * (1.0 - 1e-12):
+        states.append(solver.step(states[-1], control, dt_limit=rc.T - states[-1].t))
+    want = [s for s in states[:-1] if s.step_count % rc.snapshot_cadence == 0]
+    want.append(states[-1])
+    assert [s.step_count for s in want] == [0, 2, 4, 5]
+    assert sorted(os.listdir(tmp_path)) == [f"snapshot_{i:04d}.lcf" for i in range(4)]
+    assert len(traj.states) == len(want)
+    for i, (snap, ref) in enumerate(zip(traj.states, want)):
+        assert snap.path == str(tmp_path / f"snapshot_{i:04d}.lcf")
+        f, t = read_snapshot(snap.path)
+        assert (t, snap.t, snap.step_count) == (ref.t, ref.t, ref.step_count)
+        assert np.array_equal(f.values.view(np.uint64), ref.f.values.view(np.uint64))
+    assert len(traj.records) == states[-1].step_count + 1
 
 
 def test_file_snapshot_holds_no_array(tmp_path, grid8):
-    keep = cli_io._snapshot_writer(str(tmp_path))
     f = landau.maxwellian(grid8)
-    snap = keep(f, 0.5, 3)
+    rc = cli_io.RunControlConfig(T=0.02, dt_max=0.01, snapshot_cadence=1)
+    traj = cli_io.run_trajectory(f, rc, cli_io.DiagnosticsConfig(), str(tmp_path))
+    snap = traj.states[0]
     assert snap.path == str(tmp_path / "snapshot_0000.lcf")
-    assert (snap.grid, snap.t, snap.step_count) == (grid8, 0.5, 3)
+    assert (snap.grid, snap.t, snap.step_count) == (grid8, 0.0, 0)
     assert not any(isinstance(v, (np.ndarray, landau.ScalarField))
                    for v in vars(snap).values())
     # each access reads the file anew onto the kept grid, and the field
@@ -356,7 +364,7 @@ def test_file_snapshot_holds_no_array(tmp_path, grid8):
     values = weakref.ref(g.values)
     del g
     assert values() is None
-    assert keep(f, 1.0, 4).path == str(tmp_path / "snapshot_0001.lcf")
+    assert traj.states[1].path == str(tmp_path / "snapshot_0001.lcf")
 
 
 def _traced_run_peak(text: str, outdir) -> tuple[int, str]:
@@ -650,13 +658,13 @@ def test_summary_checks_are_the_library_verdicts(tmp_path, monkeypatch):
     # the ladder_* and barrier_* lines of a run are the flags that
     # ladder_verdict and barrier_verdict give on the same trajectory
     seen = {}
-    real_run = solver.run
+    real_run = cli_io.run_trajectory
 
-    def recording_run(f_in, *args, **kwargs):
-        seen["f0"], seen["traj"] = f_in, real_run(f_in, *args, **kwargs)
+    def recording_run(f0, *args, **kwargs):
+        seen["f0"], seen["traj"] = f0, real_run(f0, *args, **kwargs)
         return seen["traj"]
 
-    monkeypatch.setattr(solver, "run", recording_run)
+    monkeypatch.setattr(cli_io, "run_trajectory", recording_run)
     _, _, summary = _run_config(tmp_path, RUN_CFG)
     cfg = parse_config(RUN_CFG)
     lc, bc = cfg.ladder, cfg.barrier
@@ -697,7 +705,7 @@ def test_bad_config_exits_before_solver(tmp_path, monkeypatch, capsys):
     def no_run(*args, **kwargs):
         raise AssertionError("the solver must not start")
 
-    monkeypatch.setattr(solver, "run", no_run)
+    monkeypatch.setattr(cli_io, "run_trajectory", no_run)
     cfg = tmp_path / "bad.ini"
     cfg.write_text("[run]\nT = 0.01\n[experiments.barrier]\na = -1\n")
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
@@ -759,7 +767,7 @@ def test_internal_value_error_is_not_a_config_error(tmp_path, monkeypatch):
     def broken_run(*args, **kwargs):
         raise ValueError("internal fault")
 
-    monkeypatch.setattr(solver, "run", broken_run)
+    monkeypatch.setattr(cli_io, "run_trajectory", broken_run)
     cfg = tmp_path / "ok.ini"
     cfg.write_text("[grid]\nn = 16\n[run]\nT = 0.01\n")
     with pytest.raises(ValueError, match="internal fault"), warnings.catch_warnings():

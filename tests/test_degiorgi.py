@@ -21,8 +21,11 @@ from landau.degiorgi import (
     propagation_ode_monitor,
     subcritical_bracket,
 )
+from landau.cli_io import Trajectory
 from landau.inequalities import CRITICAL, SUBCRITICAL
-from landau.solver import Snapshot, Trajectory, make_state
+from landau.solver import make_state
+
+from conftest import Snapshot
 
 
 @pytest.fixture(scope="module")

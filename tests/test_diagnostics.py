@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 import landau
+from landau.cli_io import Trajectory
 from landau.diagnostics import record
-from landau.solver import Snapshot, Trajectory, make_state
+from landau.solver import make_state
 
+from conftest import Snapshot
 from oracle_values import (
     ENTROPY_MU,
     LP_1_5_M_4_5_MU,

@@ -74,7 +74,8 @@ def test_weight_field_values(grid16):
 
 
 def test_weight_field_log_space(grid16):
-    # m = 60 would overflow the direct power at the corners; log path must not
+    # a large exponent: <v>^60 peaks near 7.8e66 at the corners, far from
+    # the double range, and the power form is finite and exact at the centre
     w = grid16.weight(60.0)
     assert np.all(np.isfinite(w))
     i = grid16.n // 2
@@ -92,7 +93,7 @@ def test_weight_built_once_per_index(weight_builds):
     assert np.array_equal(w, grid.bracket2 ** 2.25)
     with pytest.raises(ValueError, match="read-only"):
         w[0, 0, 0] = 0.0
-    # <v>^2000 overflows at the corners even in log space
+    # <v>^2000 overflows at the corners (any |m| above about 270 does)
     with np.errstate(over="ignore"), pytest.raises(
         ValueError, match="field values must be finite"
     ):

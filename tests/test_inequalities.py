@@ -7,7 +7,7 @@ import pytest
 
 import landau
 from landau import inequalities
-from landau.cli_io import run_inequality_suite
+from landau.cli_io import Trajectory, run_inequality_suite
 from landau.errors import HypothesisError
 from landau.grid_field import gradient_values
 from landau.inequalities import (
@@ -21,9 +21,8 @@ from landau.inequalities import (
     sobolev_ratio,
     sobolev_report,
 )
-from landau.solver import Snapshot, Trajectory
 
-from conftest import build_run
+from conftest import Snapshot, build_run
 
 
 def test_cutoff_shape():
@@ -193,8 +192,8 @@ def test_minimum_principle_monitor_exact_barrier(grid16):
 
 
 @pytest.fixture(scope="module")
-def poly_run16():
-    return build_run("polytail", 16, 8.0, 0.05, 0.01, 1)
+def poly_run16(tmp_path_factory):
+    return build_run(tmp_path_factory, "polytail", 16, 8.0, 0.05, 0.01, 1)
 
 
 def test_barrier_verdict_builds_weights_once(poly_run16, weight_builds):
@@ -213,9 +212,8 @@ def test_barrier_verdict_builds_weights_once(poly_run16, weight_builds):
 
 @pytest.mark.parametrize("k", [41.0, 60.0])
 def test_barrier_verdict_holds_at_t0_for_log_space_weights(poly_run16, k):
-    # above |k| = 40 the weight is built in log space; the default a must
-    # read the same <v>^k as the monitor, so the data sit exactly on the
-    # barrier at t = 0
+    # for large k as for small, the default a must read the same <v>^k as
+    # the monitor, so the data sit exactly on the barrier at t = 0
     data, traj = poly_run16
     v = barrier_verdict(traj, data.field, CRITICAL, k)
     assert v.params.a == float(np.min(data.field.values * traj.grid.weight(k)))

@@ -1,6 +1,7 @@
 """Flux assembly, conservation, step control, and the run loop."""
 import dataclasses
 import math
+import os
 import threading
 import tracemalloc
 
@@ -9,6 +10,7 @@ import pytest
 
 import landau
 from landau import _accel
+from landau.cli_io import DiagnosticsConfig, FileSnapshot, RunControlConfig, run_trajectory
 from landau.coefficients import CoefficientSet, Workspace
 from landau.errors import StiffnessError
 from landau.grid_field import gradient_values
@@ -50,6 +52,12 @@ def reference_div_flux(f, g, a6, ga, h):
         arr[tuple(slice(1, n) if e == d else slice(None) for e in range(3))] = face
         faces.append(arr)
     return sum(np.diff(faces[d], axis=d) for d in range(3)) / h
+
+
+def run_to(f, rc, outdir):
+    """``run_trajectory`` of f under rc, its snapshots written to outdir."""
+    os.makedirs(outdir, exist_ok=True)
+    return run_trajectory(f, rc, DiagnosticsConfig(), str(outdir))
 
 
 def identity_coefficients(grid):
@@ -199,20 +207,21 @@ def test_positivity_clip_accounting(grid16):
     assert float(np.sum(nxt.f.values)) == pytest.approx(total0, rel=1e-12)
 
 
-def test_run_validation(grid16):
+def test_run_validation(grid16, tmp_path):
     mu = landau.maxwellian(grid16)
     with pytest.raises(ValueError, match="T must be positive"):
-        landau.run(mu, 0.0)
+        run_to(mu, RunControlConfig(T=0.0), tmp_path)
     neg = mu.values.copy()
     neg[0, 0, 0] = -1.0
     with pytest.raises(ValueError, match="initial data must be nonnegative"):
-        landau.run(landau.ScalarField(grid16, neg), 1.0)
+        run_to(landau.ScalarField(grid16, neg), RunControlConfig(T=1.0), tmp_path)
+    assert os.listdir(tmp_path) == []
 
 
-def test_run_snapshot_every(grid16):
+def test_run_snapshot_every(grid16, tmp_path):
     mu = landau.maxwellian(grid16)
-    control = StepControl(cfl=0.5, dt_min=1e-9, dt_max=0.02)
-    traj = landau.run(mu, 0.1, control, snapshot_every=2)
+    rc = RunControlConfig(T=0.1, cfl=0.5, dt_min=1e-9, dt_max=0.02, snapshot_cadence=2)
+    traj = run_to(mu, rc, tmp_path)
     # every second step from t=0, endpoint always kept
     assert [s.step_count for s in traj.states] == [0, 2, 4, 5]
     assert traj.states[0].t == 0.0
@@ -220,30 +229,16 @@ def test_run_snapshot_every(grid16):
     # records cover every step including t=0
     assert len(traj.records) == traj.states[-1].step_count + 1
     assert traj.records[0].t == 0.0
-    assert all(type(s) is landau.Snapshot for s in traj.states)
-    # a keeper gets each snapshot as it is taken; its records are the states
-    taken = []
-
-    def keep(f, t, step_count):
-        taken.append(landau.Snapshot(f, t, step_count))
-        return taken[-1]
-
-    kept = landau.run(mu, 0.1, control, snapshot_every=2, keep=keep)
-    assert len(kept.states) == len(taken) == len(traj.states)
-    for mine, record, default in zip(kept.states, taken, traj.states):
-        assert mine is record
-        assert (mine.t, mine.step_count) == (default.t, default.step_count)
-        assert np.array_equal(mine.f.values, default.f.values)
+    assert all(type(s) is FileSnapshot for s in traj.states)
 
 
-def test_run_lands_exactly_on_T(grid16):
+def test_run_lands_exactly_on_T(grid16, tmp_path):
     mu = landau.maxwellian(grid16)
-    control = StepControl(cfl=0.5, dt_min=1e-9, dt_max=0.03)
-    traj = landau.run(mu, 0.1, control)
+    traj = run_to(mu, RunControlConfig(T=0.1, cfl=0.5, dt_min=1e-9, dt_max=0.03), tmp_path)
     assert traj.states[-1].t == pytest.approx(0.1, rel=1e-12)
 
 
-def test_eig_range_once_per_recorded_state(grid16, monkeypatch):
+def test_eig_range_once_per_recorded_state(grid16, monkeypatch, tmp_path):
     # the ellipticity range is computed once per state, when it is built,
     # and read by diagnostics.record and stable_dt; Heun-stage coefficient
     # sets never compute it
@@ -255,8 +250,8 @@ def test_eig_range_once_per_recorded_state(grid16, monkeypatch):
         return eig_range(a6, out)
 
     monkeypatch.setattr(_accel, "eig_range", counting)
-    control = StepControl(cfl=0.5, dt_min=1e-9, dt_max=0.01)
-    traj = landau.run(landau.maxwellian(grid16), 0.03, control)
+    rc = RunControlConfig(T=0.03, cfl=0.5, dt_min=1e-9, dt_max=0.01)
+    traj = run_to(landau.maxwellian(grid16), rc, tmp_path)
     steps = traj.states[-1].step_count
     assert steps == 3
     assert len(traj.records) == steps + 1
@@ -347,7 +342,7 @@ def test_warm_step_allocates_no_coefficient_set(grid32):
     assert peak < 9.6 * n ** 3 * 8
 
 
-def test_run_frees_its_spectrum_pair(grid16):
+def test_run_frees_its_spectrum_pair(grid16, tmp_path):
     # the spectrum pair belongs to the run's workspace: once the run
     # returns, no spectrum-sized array is left, on the calling thread or
     # elsewhere.  A fresh thread makes the check independent of what
@@ -359,7 +354,7 @@ def test_run_frees_its_spectrum_pair(grid16):
     held = []
 
     def run_and_look():
-        landau.run(f, 0.02, StepControl(dt_max=0.01))
+        run_to(f, RunControlConfig(T=0.02, dt_max=0.01), tmp_path)
         snapshot = tracemalloc.take_snapshot()
         held.extend(t.size for t in snapshot.traces if t.size >= spectrum)
 
@@ -383,7 +378,7 @@ def _bimaxwellian(grid):
 @pytest.mark.parametrize("n", [16, 24])
 @pytest.mark.parametrize("lam", [2.0, 0.5])
 @pytest.mark.parametrize("bound", ["dt_max", "cfl"])
-def test_critical_scaling_is_exact(n, lam, bound):
+def test_critical_scaling_is_exact(n, lam, bound, tmp_path):
     # the equation is invariant under f -> lam^2 f(lam^2 t, lam v).  On the
     # grid (n, l / lam) the nodes are v / lam, so lam^2 f has the same node
     # array times lam^2, and for lam a power of two every scaling of the
@@ -392,15 +387,15 @@ def test_critical_scaling_is_exact(n, lam, bound):
     # runs go back to back, so no buffer may carry state between runs.
     s = lam ** -2
     if bound == "dt_max":  # three steps of dt_max
-        control, T = StepControl(dt_max=0.01), 0.03
+        rc = RunControlConfig(T=0.03, dt_max=0.01, snapshot_cadence=1)
     else:  # the CFL bound sets every step but the last
-        control, T = StepControl(cfl=0.02), 0.025
-    scaled = StepControl(cfl=control.cfl, dt_min=control.dt_min * s,
-                         dt_max=control.dt_max * s)
+        rc = RunControlConfig(T=0.025, cfl=0.02, dt_max=math.inf, snapshot_cadence=1)
+    scaled = dataclasses.replace(rc, T=rc.T * s, dt_min=rc.dt_min * s,
+                                 dt_max=rc.dt_max * s)
     f = _bimaxwellian(landau.make_grid(n, 8.0))
     g = landau.ScalarField(landau.make_grid(n, 8.0 / lam), f.values / s)
-    first = landau.run(f, T, control, snapshot_every=1)
-    second = landau.run(g, T * s, scaled, snapshot_every=1)
+    first = run_to(f, rc, tmp_path / "first")
+    second = run_to(g, scaled, tmp_path / "second")
     assert len(first.states) == len(second.states) >= 4
     for a, b in zip(first.states, second.states):
         assert (b.t, b.step_count) == (a.t * s, a.step_count)
@@ -417,7 +412,7 @@ _CUBE_SYMMETRIES = {
 
 @pytest.mark.parametrize("n", [16, 24])
 @pytest.mark.parametrize("symmetry", sorted(_CUBE_SYMMETRIES))
-def test_run_commutes_with_cube_symmetries(n, symmetry):
+def test_run_commutes_with_cube_symmetries(n, symmetry, tmp_path):
     # the equation commutes with every symmetry of the cube, and so does the
     # grid: running the swapped or reflected datum gives the swapped or
     # reflected f, and its A is that of f with its components permuted and
@@ -428,9 +423,9 @@ def test_run_commutes_with_cube_symmetries(n, symmetry):
     f0 = (np.exp(-0.5 * ((x - 0.9) ** 2 / 1.4 + (y + 0.4) ** 2 / 0.7 + (z - 0.2) ** 2))
           + 0.4 * np.exp(-0.5 * ((x + 1.1) ** 2 + (y - 0.8) ** 2 / 1.6 + z * z / 0.6
                                  - 0.5 * x * y)))
-    control = StepControl(dt_max=0.05)
-    runs = [landau.run(landau.ScalarField(grid, v), 0.2, control, snapshot_every=1)
-            for v in (f0, np.ascontiguousarray(move(f0)))]
+    rc = RunControlConfig(T=0.2, dt_max=0.05, snapshot_cadence=1)
+    runs = [run_to(landau.ScalarField(grid, v), rc, tmp_path / name)
+            for name, v in (("f0", f0), ("moved", np.ascontiguousarray(move(f0))))]
     assert len(runs[0].states) == len(runs[1].states) == 5
     scale = float(np.max(f0))
     for a, b in zip(*(r.states for r in runs)):
