@@ -43,17 +43,7 @@ from .errors import (
     NumericError,
     StiffnessError,
 )
-from .grid_field import (
-    ScalarField,
-    SymMatrixField,
-    VectorField,
-    VelocityGrid,
-    gradient,
-    integrate,
-    laplacian,
-    make_grid,
-    weighted_lp_norm,
-)
+from .grid_field import ScalarField, VelocityGrid, make_grid, weighted_lp_norm
 from .inequalities import (
     CRITICAL,
     SUBCRITICAL,

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import degiorgi, diagnostics, solver
-from .coefficients import Workspace, kernel_table_for, spectral_vs_direct, table_nbytes
+from .coefficients import Workspace, spectral_vs_direct, table_nbytes
 from .errors import ConfigError, HypothesisError, LandauError
 from .grid_field import ScalarField, VelocityGrid, make_grid
 from .inequalities import (
@@ -960,7 +960,7 @@ def _cmd_convolve_check(args) -> int:
     grid = make_grid(args.n, args.l)
     rng = np.random.default_rng(args.seed)
     f = ScalarField(grid, rng.random((args.n,) * 3))
-    errors = spectral_vs_direct(f, kernel_table_for(grid))
+    errors = spectral_vs_direct(f)
     for component, err in errors.items():
         print(f"component {component}: rel err {err:.3e}")
     worst = max(errors.values())

@@ -45,14 +45,7 @@ import numpy as np
 from scipy import fft as sp_fft
 
 from . import _accel
-from .grid_field import (
-    ScalarField,
-    SymMatrixField,
-    VectorField,
-    VelocityGrid,
-    gradient_values,
-    make_grid,
-)
+from .grid_field import ScalarField, VelocityGrid, gradient_values, make_grid
 
 _FOUR_PI = 4.0 * np.pi
 _EIGHT_PI = 8.0 * np.pi
@@ -340,22 +333,26 @@ def table_nbytes(n: int) -> int:
 
 @dataclass(frozen=True)
 class CoefficientSet:
-    """Potential a[f], its gradient, and the diffusion matrix A[f].
+    """Potential a[f] (n, n, n), its gradient (3, n, n, n), and the
+    diffusion matrix A[f] (6, n, n, n; rows xx, yy, zz, xy, xz, yz) on grid.
 
-    Its ellipticity range is computed only on request, so a set that is
+    The arrays are bare views of a workspace and are not checked for
+    finiteness; ``solver`` checks the flux divergence built from them.
+    The ellipticity range is computed only on request, so a set that is
     only stepped with, such as a Heun stage, never computes it.
     """
 
-    a: ScalarField
-    grad_a: VectorField
-    A: SymMatrixField
+    grid: VelocityGrid
+    a: np.ndarray
+    grad_a: np.ndarray
+    A: np.ndarray
 
     def ellipticity_range(self, out: np.ndarray | None = None) -> tuple[float, float]:
         """(c0_hat, sup_A): the min over nodes of <v>^3 lambda_min(A) and
         the max over nodes of lambda_max(A).  ``out``, (2, n, n, n),
         receives the per-node smallest and largest eigenvalues of A."""
-        lmin, lmax = _accel.eig_range(self.A.values, out)
-        return float(np.min(self.A.grid.weight(3.0) * lmin)), float(np.max(lmax))
+        lmin, lmax = _accel.eig_range(self.A, out)
+        return float(np.min(self.grid.weight(3.0) * lmin)), float(np.max(lmax))
 
 
 def _half_dft(values: np.ndarray, axis: int, odd: bool, workers: int) -> np.ndarray:
@@ -425,12 +422,12 @@ def direct_convolve(f: ScalarField, component: str = _SCALAR_COMPONENT) -> Scala
     return ScalarField(f.grid, out.reshape(n, n, n))
 
 
-def spectral_vs_direct(f: ScalarField, table: KernelTable) -> dict:
-    """Max error of the a and A of ``compute_coefficients(f, table)``
-    against the direct sums, relative to the direct sum's max, per
-    component: scalar (a), then the six rows of A."""
-    c = compute_coefficients(f, table)
-    spectral = (c.a.values, *c.A.values)
+def spectral_vs_direct(f: ScalarField) -> dict:
+    """Max error of the a and A of ``compute_coefficients(f)`` against the
+    direct sums, relative to the direct sum's max, per component: scalar
+    (a), then the six rows of A."""
+    c = compute_coefficients(f)
+    spectral = (c.a, *c.A)
     errors = {}
     for component, values in zip((_SCALAR_COMPONENT,) + _MATRIX_COMPONENTS, spectral):
         direct = direct_convolve(f, component).values
@@ -439,42 +436,36 @@ def spectral_vs_direct(f: ScalarField, table: KernelTable) -> dict:
     return errors
 
 
-def compute_coefficients(
-    f: ScalarField, table: KernelTable | None = None, work: Workspace | None = None
-) -> CoefficientSet:
+def compute_coefficients(f: ScalarField, work: Workspace | None = None) -> CoefficientSet:
     """Potential a[f], its gradient and diffusion matrix A[f].
 
+    The kernel symbols are ``kernel_table_for(f.grid)``, cached by (n, l).
     One forward transform of f; then, per matrix component, the spectrum
     times that component's symbol goes through one reused buffer and one
     pruned inverse into A; the spectrum and that buffer are the two
     spectrum buffers of ``work``, so no call with a given workspace
     allocates a spectrum.  a[f] = tr A[f] because the kernels' traces
     agree nodewise.  grad a is obtained by differencing the potential so
-    the flux scheme sees the exact discrete identity grad_a = gradient(a).
+    the flux scheme sees the exact discrete identity
+    grad_a = gradient_values(grid, a).
     The ellipticity range is left to ``CoefficientSet.ellipticity_range``.
 
     The set is written into ``work.coefficients``, A in rows 0..5, a in
-    row 6 and grad a in rows 7..9, and views it: a run passes its one
-    workspace for every set it builds, and a set lives until the next is
-    written.  Without ``work`` a fresh workspace is used.
+    row 6 and grad a in rows 7..9, and its arrays are views of those rows:
+    a run passes its one workspace for every set it builds, and a set
+    lives until the next is written.  Without ``work`` a fresh workspace
+    is used.
     """
     grid = f.grid
     mass = grid.cell_volume() * float(np.sum(f.values))
     if not mass > 0.0:
         raise ValueError("f has nonpositive total mass; ellipticity undefined")
-    if table is None:
-        table = kernel_table_for(grid)
-    elif table.grid is not grid and (table.grid.n, table.grid.l) != (grid.n, grid.l):
-        raise ValueError("kernel table grid does not match field grid")
     work = work or Workspace.for_grid(grid)
     out = work.coefficients
-    a6, a_vals, grad_a = out[:6], out[6], out[7:]
-    _convolutions(f.values, table.octants(), work.spectra, a6)
+    a6, a, grad_a = out[:6], out[6], out[7:]
+    _convolutions(f.values, kernel_table_for(grid).octants(), work.spectra, a6)
     a6 *= grid.cell_volume()
-    np.add(a6[0], a6[1], out=a_vals)
-    a_vals += a6[2]
-    return CoefficientSet(
-        a=ScalarField(grid, a_vals),
-        grad_a=VectorField(grid, gradient_values(grid, a_vals, out=grad_a)),
-        A=SymMatrixField(grid, a6),
-    )
+    np.add(a6[0], a6[1], out=a)
+    a += a6[2]
+    gradient_values(grid, a, out=grad_a)
+    return CoefficientSet(grid, a, grad_a, a6)

@@ -1,11 +1,14 @@
-"""Uniform cell-centered velocity grid and field containers.
+"""Uniform cell-centered velocity grid and its scalar field.
 
-Provides the quadrature, differential stencils, polynomial weights and
-level-set decompositions that every other module builds on.  Nodes sit at
-cell centers, so no node ever lands on v = 0 and singular kernels are
-evaluated only off the origin.  A grid stores its 1-D axis and the
-weights <v>^m it was asked for, and no coordinate cube: |v|^2 and
-1 + |v|^2 are computed from the axis at each read.
+Provides the weighted norm, differential stencils and polynomial weights
+that every other module builds on.  Nodes sit at cell centers, so no node
+ever lands on v = 0 and singular kernels are evaluated only off the
+origin.  A grid stores its 1-D axis and the weights <v>^m it was asked
+for, and no coordinate cube: |v|^2 and 1 + |v|^2 are computed from the
+axis at each read.  ``ScalarField`` is the one field container, a grid
+and finite (n, n, n) values; vector and matrix quantities, such as a
+gradient or a coefficient set, are bare (3, n, n, n) and (6, n, n, n)
+arrays.
 """
 from __future__ import annotations
 
@@ -75,40 +78,16 @@ class VelocityGrid:
 
 @dataclass(frozen=True)
 class ScalarField:
+    """Finite node values of shape (n, n, n) on grid."""
+
     grid: VelocityGrid
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        _check_values(self, ())
-
-
-@dataclass(frozen=True)
-class VectorField:
-    grid: VelocityGrid
-    values: np.ndarray  # shape (3, n, n, n)
-
-    def __post_init__(self) -> None:
-        _check_values(self, (3,))
-
-
-@dataclass(frozen=True)
-class SymMatrixField:
-    """Symmetric 3x3 matrix per node; component order xx, yy, zz, xy, xz, yz."""
-
-    grid: VelocityGrid
-    values: np.ndarray  # shape (6, n, n, n)
-
-    def __post_init__(self) -> None:
-        _check_values(self, (6,))
-
-
-def _check_values(field, lead: tuple) -> None:
-    """Raise ValueError unless the field's values are finite and of shape
-    lead + (n, n, n)."""
-    if field.values.shape != lead + (field.grid.n,) * 3:
-        raise ValueError("values shape does not match grid")
-    if not np.all(np.isfinite(field.values)):
-        raise ValueError("field values must be finite")
+        if self.values.shape != (self.grid.n,) * 3:
+            raise ValueError("values shape does not match grid")
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("field values must be finite")
 
 
 def _read_only(values: np.ndarray) -> np.ndarray:
@@ -126,11 +105,6 @@ def make_grid(n: int, l: float) -> VelocityGrid:
     if not l > 0:
         raise ValueError("l must be positive")
     return VelocityGrid(n=n, l=float(l), h=2.0 * float(l) / n)
-
-
-def integrate(field: ScalarField) -> float:
-    """Midpoint quadrature h^3 sum over all nodes."""
-    return float(field.grid.cell_volume() * np.sum(field.values))
 
 
 def weighted_lp_norm(f: ScalarField, p: float, m: float) -> float:
@@ -179,10 +153,6 @@ def squared_norm(g: np.ndarray) -> np.ndarray:
     return g[0]
 
 
-def gradient(f: ScalarField) -> VectorField:
-    return VectorField(f.grid, gradient_values(f.grid, f.values))
-
-
 def _second_diff(values: np.ndarray, h: float, axis: int) -> np.ndarray:
     v = np.moveaxis(values, axis, 0)
     out = np.empty_like(v)
@@ -200,7 +170,3 @@ def laplacian_values(grid: VelocityGrid, values: np.ndarray) -> np.ndarray:
         + _second_diff(values, h, 1)
         + _second_diff(values, h, 2)
     )
-
-
-def laplacian(f: ScalarField) -> ScalarField:
-    return ScalarField(f.grid, laplacian_values(f.grid, f.values))

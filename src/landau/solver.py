@@ -15,7 +15,10 @@ are ever alive at once, and a caller that passes one ``Workspace`` to
 every step has every set, every gradient of f and every spectrum of the
 coefficient transforms written into it.  The grid-sized arrays a step
 allocates are the stage f, the stage's flux divergence, which the new f
-is built in, and the new state's divergence.
+is built in, and the new state's divergence.  A set is bare arrays and
+is checked once per state: a state whose flux divergence or coefficient
+bounds are not finite raises ``NumericError``, and a stage's set is
+checked through the new f it builds.
 """
 from __future__ import annotations
 
@@ -74,13 +77,8 @@ def _rhs(f: ScalarField, coeffs: CoefficientSet | None, work: Workspace) -> np.n
     """Flux divergence at f with the coefficient set coeffs."""
     if coeffs is None:
         return np.zeros_like(f.values)
-    return _accel.div_flux(
-        f.values,
-        gradient_values(f.grid, f.values, out=work.gradient),
-        coeffs.A.values,
-        coeffs.grad_a.values,
-        f.grid.h,
-    )
+    grad_f = gradient_values(f.grid, f.values, out=work.gradient)
+    return _accel.div_flux(f.values, grad_f, coeffs.A, coeffs.grad_a, f.grid.h)
 
 
 def _state(f: ScalarField, t: float, work: Workspace, **history) -> SimulationState:
@@ -93,7 +91,12 @@ def _state(f: ScalarField, t: float, work: Workspace, **history) -> SimulationSt
     c0_hat, sup_A = coeffs.ellipticity_range(out=work.gradient[:2])
     rhs = _rhs(f, coeffs, work)
     # grad a is not read again: the norm squares it in place
-    grad_a_max = math.sqrt(float(np.max(squared_norm(coeffs.grad_a.values))))
+    grad_a_max = math.sqrt(float(np.max(squared_norm(coeffs.grad_a))))
+    # the rhs reads every row of A and of grad a, so it is finite only if
+    # the set is; min and max take no temporary and propagate nan
+    bounds = (float(np.min(rhs)), float(np.max(rhs)), c0_hat, sup_A, grad_a_max)
+    if not all(map(math.isfinite, bounds)):
+        raise NumericError(f"non-finite flux divergence or coefficient bound at t={t:.6g}")
     return SimulationState(f, t, rhs, c0_hat, sup_A, grad_a_max, **history)
 
 

@@ -10,6 +10,7 @@ import pytest
 
 import landau
 from landau import _accel
+from landau.grid_field import gradient_values
 
 _ROWS = ((0, 3, 4), (3, 1, 5), (4, 5, 2))
 
@@ -69,7 +70,7 @@ def kernel_outputs(grid):
     a6[:, n - 1, 0, 1] = 0.0
     lmin, lmax = _accel.eig_range(a6)
     return {
-        "A": c.A.values, "a": c.a.values, "grad_a": c.grad_a.values,
+        "A": c.A, "a": c.a, "grad_a": c.grad_a,
         "div_flux": _accel.div_flux(f, g3, a6, ga3, grid.h),
         "plain_div_flux": plain_div_flux(f, g3, a6, ga3, grid.h),
         "lmin": lmin, "lmax": lmax,
@@ -130,7 +131,7 @@ def test_pool_threads_call_no_public_function(monkeypatch, grid16):
     # keeps one span stack; only the caller thread may enter those
     monkeypatch.setenv("LANDAU_THREADS", "2")
     f = landau.maxwellian(grid16)
-    g3 = landau.gradient(f).values
+    g3 = gradient_values(grid16, f.values)
     main = threading.get_ident()
     seen = []
 
@@ -142,8 +143,8 @@ def test_pool_threads_call_no_public_function(monkeypatch, grid16):
     threading.setprofile(profile)
     try:
         c = landau.compute_coefficients(f)
-        _accel.div_flux(f.values, g3, c.A.values, c.grad_a.values, grid16.h)
-        _accel.eig_range(c.A.values)
+        _accel.div_flux(f.values, g3, c.A, c.grad_a, grid16.h)
+        _accel.eig_range(c.A)
     finally:
         threading.setprofile(None)
         _accel._pool(1).shutdown()

@@ -19,6 +19,7 @@ from scipy.special import erf
 import landau
 from landau import coefficients, degiorgi
 from landau.cli_io import main, run_inequality_suite
+from landau.grid_field import laplacian_values
 from landau.inequalities import CRITICAL, barrier_verdict, build_cutoff
 
 from conftest import record_criterion
@@ -27,9 +28,9 @@ from conftest import record_criterion
 def test_criterion_01(grid16):
     rng = np.random.default_rng(2026)
     f = landau.ScalarField(grid16, rng.random((16, 16, 16)))
-    table = landau.kernel_table_for(grid16)
+    landau.kernel_table_for(grid16)  # built outside the timed span
     t0 = time.perf_counter()
-    worst = max(landau.spectral_vs_direct(f, table).values())
+    worst = max(landau.spectral_vs_direct(f).values())
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-10 and elapsed < 10.0
     record_criterion(
@@ -45,7 +46,7 @@ def test_criterion_02(grid32, grid48, grid64):
     c64 = landau.compute_coefficients(mu64)
     r = np.sqrt(grid64.radius2)
     exact = erf(r / np.sqrt(2.0)) / (4.0 * np.pi * r)
-    erf_rel = float(np.max(np.abs(c64.a.values - exact) / exact))
+    erf_rel = float(np.max(np.abs(c64.a - exact) / exact))
 
     # a = tr A against the scalar kernel's potential by a full padded FFT
     # of the real-space kernel, a route that never reads table.symbols
@@ -62,14 +63,14 @@ def test_criterion_02(grid32, grid48, grid64):
         a_ref = full[:n, :n, :n] * grid32.cell_volume()
         scale = float(np.max(np.abs(a_ref)))
         trace_rel = max(
-            trace_rel, float(np.max(np.abs(c.a.values - a_ref))) / scale
+            trace_rel, float(np.max(np.abs(c.a - a_ref))) / scale
         )
 
     resid = {}
     for grid in (grid32, grid48, grid64):
         mu = landau.maxwellian(grid)
         c = c64 if grid.n == 64 else landau.compute_coefficients(mu)
-        err = -landau.laplacian(c.a).values - mu.values
+        err = -laplacian_values(grid, c.a) - mu.values
         resid[grid.n] = float(
             np.sqrt(np.sum(err ** 2) / np.sum(mu.values ** 2))
         )

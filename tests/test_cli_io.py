@@ -804,6 +804,20 @@ def test_diagnose_nonpositive_mass_exits_2(tmp_path, capsys):
     assert main(["diagnose", str(zero)]) == 0  # the zero field has no dynamics
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("value", [1e200, 1e300, 1e306])
+def test_diagnose_overflowing_coefficients_exits_3(tmp_path, capsys, value):
+    # a finite constant f: at 1e200 and 1e300 the set is finite but its
+    # eigenvalue range and flux divergence overflow, at 1e306 the mass and
+    # the set do
+    snap = tmp_path / "huge.lcf"
+    f = landau.ScalarField(make_grid(8, 4.0), np.full((8, 8, 8), value))
+    write_snapshot(str(snap), f, 0.0)
+    assert main(["diagnose", str(snap)]) == 3
+    assert "error: non-finite flux divergence" in capsys.readouterr().err
+
+
 def test_run_reads_each_snapshot_once_per_consumer(tmp_path, monkeypatch):
     # the harness configuration at n = 16 keeps its 51 snapshots: the ladder
     # and the barrier read each once and eps-regularity the 26 of [T/2, T],

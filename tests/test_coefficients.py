@@ -21,20 +21,15 @@ COMPONENTS = ("scalar", "xx", "yy", "zz", "xy", "xz", "yz")
 
 
 @pytest.fixture(scope="module")
-def table8(grid8):
-    return landau.kernel_table_for(grid8)
-
-
-@pytest.fixture(scope="module")
 def kernels8(grid8):
     """The seven real-space kernels on grid8, scalar first."""
     return {comp: coefficients.real_space_kernel(grid8, comp) for comp in COMPONENTS}
 
 
-def _spectral(f, table=None):
+def _spectral(f):
     """a and the six rows of A from compute_coefficients, keyed like COMPONENTS."""
-    c = landau.compute_coefficients(f, table)
-    return dict(zip(COMPONENTS, (c.a.values, *c.A.values)))
+    c = landau.compute_coefficients(f)
+    return dict(zip(COMPONENTS, (c.a, *c.A)))
 
 
 def test_unit_offset_slots(grid8, kernels8):
@@ -93,15 +88,15 @@ def test_trace_identity_random(grid16):
     for _ in range(3):
         f = landau.ScalarField(grid16, rng.random((16, 16, 16)))
         c = landau.compute_coefficients(f)
-        tr = c.A.values[0] + c.A.values[1] + c.A.values[2]
-        scale = float(np.max(np.abs(c.a.values)))
-        assert float(np.max(np.abs(tr - c.a.values))) / scale <= 1e-10
+        tr = c.A[0] + c.A[1] + c.A[2]
+        scale = float(np.max(np.abs(c.a)))
+        assert float(np.max(np.abs(tr - c.a))) / scale <= 1e-10
 
 
-def test_dual_route_all_components(grid8, table8):
+def test_dual_route_all_components(grid8):
     rng = np.random.default_rng(11)
     f = landau.ScalarField(grid8, rng.random((8, 8, 8)))
-    spectral = _spectral(f, table8)
+    spectral = _spectral(f)
     for comp in COMPONENTS:
         direct = landau.direct_convolve(f, comp)
         scale = float(np.max(np.abs(direct.values)))
@@ -109,13 +104,13 @@ def test_dual_route_all_components(grid8, table8):
         assert err <= 1e-10, comp
 
 
-def test_delta_translation(grid8, table8, kernels8):
+def test_delta_translation(grid8, kernels8):
     # a unit point mass reproduces the kernels themselves
     n = grid8.n
     i0 = (2, 5, 3)
     vals = np.zeros((n, n, n))
     vals[i0] = 1.0 / grid8.cell_volume()
-    spectral = _spectral(landau.ScalarField(grid8, vals), table8)
+    spectral = _spectral(landau.ScalarField(grid8, vals))
     for probe in ((2, 5, 3), (3, 5, 3), (2, 4, 3), (7, 0, 0)):
         off = tuple((probe[d] - i0[d]) % (2 * n) for d in range(3))
         assert spectral["scalar"][probe] == pytest.approx(
@@ -127,7 +122,7 @@ def test_potential_of_maxwellian(grid32):
     c = landau.compute_coefficients(mu)
     r = np.sqrt(grid32.radius2)
     exact = erf(r / np.sqrt(2.0)) / (4.0 * np.pi * r)
-    rel = np.abs(c.a.values - exact) / exact
+    rel = np.abs(c.a - exact) / exact
     assert float(rel.max()) <= 1e-3
     # the closed form's r -> 0 limit agrees with the frozen quadrature of
     # the potential at the origin
@@ -143,13 +138,13 @@ def test_zero_field_rejected(grid16):
         landau.compute_coefficients(f)
 
 
-def test_convolution_linearity(grid8, table8):
+def test_convolution_linearity(grid8):
     rng = np.random.default_rng(3)
     f = rng.random((8, 8, 8))
     g = rng.random((8, 8, 8))
-    lhs = _spectral(landau.ScalarField(grid8, 2.0 * f + 0.5 * g), table8)
-    af = _spectral(landau.ScalarField(grid8, f), table8)
-    ag = _spectral(landau.ScalarField(grid8, g), table8)
+    lhs = _spectral(landau.ScalarField(grid8, 2.0 * f + 0.5 * g))
+    af = _spectral(landau.ScalarField(grid8, f))
+    ag = _spectral(landau.ScalarField(grid8, g))
     for comp in COMPONENTS:
         rhs = 2.0 * af[comp] + 0.5 * ag[comp]
         assert np.allclose(lhs[comp], rhs, rtol=1e-12, atol=1e-14), comp
@@ -158,7 +153,7 @@ def test_convolution_linearity(grid8, table8):
 def test_matrix_positive_semidefinite(grid16):
     mu = landau.maxwellian(grid16)
     c = landau.compute_coefficients(mu)
-    xx, yy, zz, xy, xz, yz = c.A.values
+    xx, yy, zz, xy, xz, yz = c.A
     m = np.zeros(xx.shape + (3, 3))
     m[..., 0, 0], m[..., 1, 1], m[..., 2, 2] = xx, yy, zz
     m[..., 0, 1] = m[..., 1, 0] = xy
@@ -181,7 +176,7 @@ def test_grad_a_matches_gradient_of_a(grid16):
     c = landau.compute_coefficients(mu)
     from landau.grid_field import gradient_values
 
-    assert np.array_equal(c.grad_a.values, gradient_values(grid16, c.a.values))
+    assert np.array_equal(c.grad_a, gradient_values(grid16, c.a))
 
 
 def test_fft_workers_env(monkeypatch):
@@ -195,21 +190,9 @@ def test_fft_workers_env(monkeypatch):
     assert coefficients.fft_workers() == len(os.sched_getaffinity(0))
 
 
-def test_table_grid_mismatch(grid8, grid16, table8):
-    f = landau.ScalarField(grid16, np.ones((16, 16, 16)))
-    with pytest.raises(ValueError, match="kernel table grid does not match"):
-        landau.compute_coefficients(f, table8)
+def test_unknown_kernel_component_rejected(grid8):
     with pytest.raises(ValueError, match="unknown kernel component"):
         landau.direct_convolve(landau.ScalarField(grid8, np.ones((8, 8, 8))), "yx")
-
-
-@pytest.mark.parametrize("route", [landau.compute_coefficients, landau.spectral_vs_direct])
-def test_table_for_other_box_rejected(grid16, route):
-    # same n, different l: the table's offsets are scaled for another h
-    grid = landau.make_grid(16, 6.0)
-    f = landau.ScalarField(grid, landau.maxwellian(grid).values)
-    with pytest.raises(ValueError, match="kernel table grid does not match"):
-        route(f, landau.kernel_table_for(grid16))
 
 
 def test_equal_grids_share_one_table():
@@ -227,7 +210,7 @@ def test_direct_route_leaves_no_table_behind(grid8):
     # check the shared table still holds its symbols and no other array
     table = landau.kernel_table_for(grid8)
     f = landau.ScalarField(grid8, np.random.default_rng(23).random((8, 8, 8)))
-    landau.spectral_vs_direct(f, table)
+    landau.spectral_vs_direct(f)
     arrays = [name for name, v in vars(table).items() if isinstance(v, np.ndarray)]
     assert arrays == ["symbols"]
 
@@ -238,13 +221,12 @@ def _warm_peak(grid):
     padded input and output (4 + 2/n doubles a node) and the product
     blocks of the lanes."""
     n = grid.n
-    table = landau.kernel_table_for(grid)
     f = landau.maxwellian(grid)
     work = Workspace.for_grid(grid)
-    landau.compute_coefficients(f, table, work)
+    landau.compute_coefficients(f, work)
     tracemalloc.start()
     try:
-        landau.compute_coefficients(f, table, work)
+        landau.compute_coefficients(f, work)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -302,24 +284,36 @@ def test_consecutive_sets_match_fresh_workspaces(grid16):
     # a set is built from f alone: whatever the previous set, or the grad f
     # written over its product spectrum, left in the workspace, the next
     # set has the bits of one built in a fresh workspace
-    table = landau.kernel_table_for(grid16)
     rng = np.random.default_rng(29)
     fields = [landau.ScalarField(grid16, rng.random((16, 16, 16))) for _ in range(2)]
     fields.append(landau.maxwellian(grid16))
     work = Workspace.for_grid(grid16)
     for f in fields:
-        got = landau.compute_coefficients(f, table, work)
-        want = landau.compute_coefficients(f, table, Workspace.for_grid(grid16))
+        got = landau.compute_coefficients(f, work)
+        want = landau.compute_coefficients(f, Workspace.for_grid(grid16))
         for a, b in ((got.A, want.A), (got.a, want.a), (got.grad_a, want.grad_a)):
-            assert np.array_equal(a.values.view(np.uint64), b.values.view(np.uint64))
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
         work.gradient[...] = np.nan  # grad f, as a step writes it
+
+
+def test_set_views_its_workspace_rows(grid16):
+    # a set is bare views of the rows it was written into, not copies
+    work = Workspace.for_grid(grid16)
+    c = landau.compute_coefficients(landau.maxwellian(grid16), work)
+    assert c.grid is grid16
+    rows = work.coefficients
+    for got, own, other in ((c.A, rows[:6], rows[6:]), (c.a, rows[6], rows[7:]),
+                            (c.grad_a, rows[7:], rows[:7])):
+        assert got.shape == own.shape
+        assert np.shares_memory(got, own)
+        assert not np.shares_memory(got, other)
 
 
 def test_ellipticity_range_matches_eager_formula(grid16):
     rng = np.random.default_rng(17)
     f = landau.ScalarField(grid16, rng.random((16, 16, 16)))
     c = landau.compute_coefficients(f)
-    lmin, lmax = _accel.eig_range(c.A.values)
+    lmin, lmax = _accel.eig_range(c.A)
     w3 = grid16.weight(3.0)
     assert c.ellipticity_range() == (float(np.min(w3 * lmin)), float(np.max(lmax)))
 
@@ -390,23 +384,22 @@ def test_quadrant_products_match_full_grid_mirroring(request, grid_name):
     rng = np.random.default_rng(19)
     for values in (rng.random((n, n, n)), landau.maxwellian(grid).values):
         f = landau.ScalarField(grid, values)
-        c = landau.compute_coefficients(f, table)
+        c = landau.compute_coefficients(f)
         a6, a = _full_grid_coefficients(f, table)
-        assert np.array_equal(c.A.values, a6)
-        assert np.array_equal(c.a.values, a)
+        assert np.array_equal(c.A, a6)
+        assert np.array_equal(c.a, a)
 
 
 @pytest.mark.parametrize("grid_name", ["grid8", "grid16"])
 def test_matches_full_padded_convolution(request, grid_name):
     grid = request.getfixturevalue(grid_name)
-    table = landau.kernel_table_for(grid)
     n, m = grid.n, 2 * grid.n
     rng = np.random.default_rng(5)
     f = landau.ScalarField(grid, rng.random((n, n, n)))
     padded = np.zeros((m, m, m))
     padded[:n, :n, :n] = f.values
     fhat = sp_fft.rfftn(padded)
-    spectral = _spectral(f, table)
+    spectral = _spectral(f)
     for comp, kernel in zip(COMPONENTS, _padded_kernels(grid)):
         full = sp_fft.irfftn(fhat * sp_fft.rfftn(kernel), s=(m, m, m))
         want = full[:n, :n, :n] * grid.cell_volume()

@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 import landau
-from landau import _accel
+from landau import _accel, solver
 from landau.cli_io import DiagnosticsConfig, FileSnapshot, RunControlConfig, run_trajectory
 from landau.coefficients import CoefficientSet, Workspace
-from landau.errors import StiffnessError
+from landau.diagnostics import moments
+from landau.errors import NumericError, StiffnessError
 from landau.grid_field import gradient_values
 from landau.solver import StepControl, make_state, stable_dt, step
 
@@ -66,11 +67,7 @@ def identity_coefficients(grid):
     z = np.zeros((n, n, n))
     mat = np.zeros((6, n, n, n))
     mat[0] = mat[1] = mat[2] = 1.0
-    return CoefficientSet(
-        a=landau.ScalarField(grid, z),
-        grad_a=landau.VectorField(grid, np.zeros((3, n, n, n))),
-        A=landau.SymMatrixField(grid, mat),
-    )
+    return CoefficientSet(grid, z, np.zeros((3, n, n, n)), mat)
 
 
 def test_step_control_validation():
@@ -88,10 +85,10 @@ def test_mass_telescoping(grid16):
     mu = landau.maxwellian(grid16)
     state = make_state(mu)
     control = StepControl(cfl=0.5, dt_min=1e-9, dt_max=0.05)
-    m0 = landau.integrate(state.f)
+    m0 = moments(grid16, state.f.values)[0]
     for _ in range(5):
         state = step(state, control)
-        m = landau.integrate(state.f)
+        m = moments(grid16, state.f.values)[0]
         assert abs(m - m0) / m0 <= 1e-13
         m0 = m
 
@@ -113,7 +110,7 @@ def test_divergence_matches_fused_kernel(grid16):
     mu = landau.maxwellian(grid16)
     coeffs = landau.compute_coefficients(make_state(mu).f)
     g = gradient_values(grid16, mu.values)
-    a6, ga = coeffs.A.values, coeffs.grad_a.values
+    a6, ga = coeffs.A, coeffs.grad_a
     ref = reference_div_flux(mu.values, g, a6, ga, grid16.h)
     fused = _accel.div_flux(mu.values, g, a6, ga, grid16.h)
     scale = float(np.max(np.abs(ref)))
@@ -125,8 +122,8 @@ def test_identity_coefficients_give_heat_flux(grid16):
     vals = 1.0 + 0.1 * rng.random((16, 16, 16))
     c = identity_coefficients(grid16)
     h = grid16.h
-    div = _accel.div_flux(vals, gradient_values(grid16, vals), c.A.values,
-                          c.grad_a.values, h)
+    div = _accel.div_flux(vals, gradient_values(grid16, vals), c.A,
+                          c.grad_a, h)
     lap = (
         np.diff(vals, 2, axis=0)[:, 1:-1, 1:-1]
         + np.diff(vals, 2, axis=1)[1:-1, :, 1:-1]
@@ -158,7 +155,7 @@ def test_maxwellian_near_stationary():
         mu = landau.maxwellian(g)
         coeffs = landau.compute_coefficients(make_state(mu).f)
         rhs = _accel.div_flux(mu.values, gradient_values(g, mu.values),
-                              coeffs.A.values, coeffs.grad_a.values, g.h)
+                              coeffs.A, coeffs.grad_a, g.h)
         l2[n] = float(np.sqrt(np.mean(rhs**2)))
         rel_rate = float(np.max(np.abs(rhs))) / float(mu.values.max())
         assert rel_rate <= 1e-2
@@ -169,7 +166,7 @@ def test_stable_dt_formula(grid16):
     state = make_state(landau.maxwellian(grid16))
     control = StepControl(cfl=0.4, dt_min=1e-9, dt_max=10.0)
     coeffs = landau.compute_coefficients(state.f)
-    ga = coeffs.grad_a.values
+    ga = coeffs.grad_a
     gmax = np.sqrt(float(np.max(ga[0] ** 2 + ga[1] ** 2 + ga[2] ** 2)))
     sup_A = coeffs.ellipticity_range()[1]
     expected = 0.4 * grid16.h**2 / (6.0 * sup_A + grid16.h * gmax)
@@ -184,6 +181,22 @@ def test_stiffness_error(grid16):
     control = StepControl(cfl=0.01, dt_min=1.0, dt_max=2.0)
     with pytest.raises(StiffnessError, match="stiffness: stable step"):
         stable_dt(state, control)
+
+
+def test_nan_in_coefficient_set_raises(grid16, monkeypatch):
+    # the eigenvalue range reads a nan off-diagonal as isotropic and stays
+    # finite, so the flux divergence is what shows the set is not
+    compute = solver.compute_coefficients
+
+    def poisoned(f, work=None):
+        c = compute(f, work)
+        c.A[3][4, 5, 6] = np.nan
+        assert all(map(math.isfinite, c.ellipticity_range()))
+        return c
+
+    monkeypatch.setattr(solver, "compute_coefficients", poisoned)
+    with pytest.raises(NumericError, match="non-finite flux divergence"):
+        make_state(landau.maxwellian(grid16))
 
 
 def test_undershoot_tracking(grid16):
@@ -292,8 +305,8 @@ def test_heun_update_matches_the_plain_expression(grid16, clip):
     f0, k1 = state.f.values, state.rhs
     stage = f0 + dt * k1
     c = landau.compute_coefficients(landau.ScalarField(grid16, stage))
-    k2 = _accel.div_flux(stage, gradient_values(grid16, stage), c.A.values,
-                         c.grad_a.values, grid16.h)
+    k2 = _accel.div_flux(stage, gradient_values(grid16, stage), c.A,
+                         c.grad_a, grid16.h)
     want = f0 + 0.5 * dt * (k1 + k2)
     if clip:
         assert np.any(want < 0.0)
@@ -314,10 +327,10 @@ def test_state_keeps_its_rhs_not_its_coefficients(grid16):
         assert not any(isinstance(v, CoefficientSet) for v in held)
         c = landau.compute_coefficients(state.f)
         fv = state.f.values
-        want = _accel.div_flux(fv, gradient_values(grid16, fv), c.A.values,
-                               c.grad_a.values, grid16.h)
+        want = _accel.div_flux(fv, gradient_values(grid16, fv), c.A,
+                               c.grad_a, grid16.h)
         assert np.array_equal(state.rhs.view(np.uint64), want.view(np.uint64))
-        ga = c.grad_a.values
+        ga = c.grad_a
         assert state.grad_a_max == math.sqrt(
             float(np.max(ga[0] ** 2 + ga[1] ** 2 + ga[2] ** 2)))
         assert (state.c0_hat, state.sup_A) == c.ellipticity_range()
@@ -430,7 +443,7 @@ def test_run_commutes_with_cube_symmetries(n, symmetry, tmp_path):
     scale = float(np.max(f0))
     for a, b in zip(*(r.states for r in runs)):
         assert float(np.max(np.abs(b.f.values - move(a.f.values)))) <= 1e-13 * scale
-    A, moved_A = (landau.compute_coefficients(r.states[-1].f).A.values for r in runs)
+    A, moved_A = (landau.compute_coefficients(r.states[-1].f).A for r in runs)
     scale = float(np.max(np.abs(A)))
     for c, (src, sign) in enumerate(zip(order, signs)):
         assert float(np.max(np.abs(moved_A[c] - sign * move(A[src])))) <= 1e-13 * scale
