@@ -104,7 +104,9 @@ def eig_range(
     Closed-form trigonometric method; no iterative solver.  The steps run
     chunk by chunk on a few work arrays, rounding the same operands in the
     same order as the plain expression of the method would, so the result
-    is the same bit for bit at a fraction of its temporaries.
+    is the same bit for bit at a fraction of its temporaries.  Each chunk
+    is scaled by a power of two taken from its largest |entry|, so the
+    range is finite wherever A is.
     """
     shape = a6.shape[1:]
     # at least two chunks per band: on small grids one chunk would take a
@@ -120,22 +122,29 @@ def eig_range(
 
 
 def _eig_chunk(a6, lmin, lmax, work, isotropic, lane, lo, hi) -> None:
-    axx, ayy, azz, axy, axz, ayz = (c[lo:hi] for c in a6)
     q, bxx, byy, bzz, bxy, bxz, byz, ps = work[lane, :, : hi - lo]
     iso = isotropic[lane, : hi - lo]
     # the outputs' rows serve as the last two work arrays until the end
     r, t = lmin[lo:hi], lmax[lo:hi]
-    np.add(axx, ayy, out=q)
-    q += azz
+    # the chunk runs on A / 2^e, 2^e its largest |entry| rounded up to a
+    # power of two, so the squares below stay finite wherever A is; scaling
+    # by a power of two is exact, so the range has the bits of the unscaled
+    # method's wherever neither leaves the normal range
+    chunk = a6[:, lo:hi]
+    e = min(max(math.frexp(max(-chunk.min(), chunk.max()))[1], -1021), 1021)
+    for entry, scaled in zip(chunk, (bxx, byy, bzz, bxy, bxz, byz)):
+        np.multiply(entry, 2.0 ** -e, out=scaled)
+    np.add(bxx, byy, out=q)
+    q += bzz
     q /= 3.0
     # deviatoric diagonal, then p = sqrt(tr(dev^2) / 6)
-    np.subtract(axx, q, out=bxx)
-    np.subtract(ayy, q, out=byy)
-    np.subtract(azz, q, out=bzz)
-    np.multiply(axy, axy, out=r)
-    np.multiply(axz, axz, out=t)
+    bxx -= q
+    byy -= q
+    bzz -= q
+    np.multiply(bxy, bxy, out=r)
+    np.multiply(bxz, bxz, out=t)
     r += t
-    np.multiply(ayz, ayz, out=t)
+    np.multiply(byz, byz, out=t)
     r += t
     r *= 2.0
     np.multiply(bxx, bxx, out=ps)
@@ -151,12 +160,8 @@ def _eig_chunk(a6, lmin, lmax, work, isotropic, lane, lo, hi) -> None:
     np.greater(ps, 0.0, out=iso)
     np.logical_not(iso, out=iso)
     np.copyto(ps, 1.0, where=iso)
-    bxx /= ps
-    byy /= ps
-    bzz /= ps
-    np.divide(axy, ps, out=bxy)
-    np.divide(axz, ps, out=bxz)
-    np.divide(ayz, ps, out=byz)
+    for b in (bxx, byy, bzz, bxy, bxz, byz):
+        b /= ps
     # r = det(B) / 2, clipped, then phi = arccos(r) / 3; bxx, last read
     # by the first term, then holds the other two
     np.multiply(byy, bzz, out=r)
@@ -188,6 +193,8 @@ def _eig_chunk(a6, lmin, lmax, work, isotropic, lane, lo, hi) -> None:
     r += q
     np.copyto(t, q, where=iso)
     np.copyto(r, q, where=iso)
+    t *= 2.0 ** e
+    r *= 2.0 ** e
 
 
 def div_flux(

@@ -4,6 +4,12 @@ Conserved quantities, entropy, Fisher information (both the |grad f|^2/f
 form with the {f = 0} convention and the 4|grad sqrt(f)|^2 cross-check),
 weighted norms, level-set energies over time windows, and distance to the
 normalized equilibrium.
+
+The excess functionals (level-set energies and the bulk quantities, whose
+capped half is the excess of min(f, 2K) over level 0) are summed over the excess's bounding box widened by a halo of
+3 cells, not over the grid: outside the box the excess and its gradient
+are exactly zero, so the sums are the full grid's up to summation order.
+An empty excess gives exactly 0.0 and takes no gradient.
 """
 from __future__ import annotations
 
@@ -12,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid_field import ScalarField, gradient_values, squared_norm, weighted_lp_norm
+from .grid_field import ScalarField, gradient_values, squared_norm, weighted_lp_norms
 
 
 @dataclass(frozen=True)
@@ -70,12 +76,12 @@ def record(
     """All tracked functionals of one state by midpoint quadrature.
 
     ``scratch``, (4, n, n, n) contiguous doubles, holds the moments'
-    products, the gradients, the masks and the compacted arrays, and is
-    overwritten; a run lends rows of its workspace that are dead between
-    coefficient sets.  Without it, one is allocated.  The compactions give
-    the arrays boolean indexing gives, and logs and products run in place
-    on the same operands, so every sum runs over the same data as with
-    plain expressions.
+    products, the gradients, the masks, the compacted arrays and the
+    norms' powers and products, and is overwritten; a run lends rows of
+    its workspace that are dead between coefficient sets.  Without it, one
+    is allocated.  The compactions give the arrays boolean indexing gives,
+    and logs and products run in place on the same operands, so every sum
+    runs over the same data as with plain expressions.
     """
     f = state.f
     grid = f.grid
@@ -104,7 +110,7 @@ def record(
     np.sqrt(root, out=root)
     fisher_sqrt = 4.0 * vol * float(np.sum(squared_norm(gradient_values(grid, root, out=g))))
 
-    lp = {(p, m): weighted_lp_norm(f, p, m) for p in p_list for m in m_list}
+    lp = weighted_lp_norms(f, p_list, m_list, out=g[:2])
     return DiagnosticsRecord(
         t=t, mass=mass, momentum=momentum, energy=energy, entropy=entropy,
         fisher=fisher, fisher_sqrt_form=fisher_sqrt, linf=float(np.max(fv)),
@@ -125,17 +131,42 @@ class LevelSetWindow:
     n_snapshots: int
 
 
-def _excess_integrals(grid, values, p: float, m: float):
-    """Weighted p-mass of a nonnegative array (weight <v>^m) and the
-    gradient term of its p/2 power (weight <v>^(m-3)).  Both are exactly
-    0.0 for an all-zero array, such as the excess over a level above
-    max f, which then costs no gradient."""
-    if not values.any():
-        return 0.0, 0.0
+# zero cells kept on each side of the excess's support: gradient_values'
+# one-sided edge stencil reads three cells, so on a box with a 3-cell zero
+# rim every difference equals the full grid's, and the box edge reads 0
+_HALO = 3
+
+
+def _axis_maxima(values: np.ndarray) -> tuple:
+    """Max of an (n, n, n) array over each x-, y- and z-index."""
+    plane = values.max(axis=2)
+    return plane.max(axis=1), plane.max(axis=0), values.max(axis=(0, 1))
+
+
+def _excess_integrals(grid, values, level: float, p: float, m: float, maxima):
+    """Weighted p-mass (weight <v>^m) of the excess e = (values - level)_+
+    and the gradient term of e^(p/2) (weight <v>^(m-3)), summed over the
+    excess's bounding box only.
+
+    ``maxima`` are ``_axis_maxima(values)``.  The box is the index range,
+    per axis, where they exceed the level, widened by ``_HALO`` cells and
+    clipped to the grid; outside it e and its gradient are exactly zero,
+    so both sums equal the full grid's up to summation order.  Both are
+    exactly 0.0 when nothing exceeds the level, which then costs no
+    gradient."""
+    box = []
+    for axis_max in maxima:
+        above = np.flatnonzero(axis_max > level)
+        if not above.size:
+            return 0.0, 0.0
+        box.append(slice(max(above[0] - _HALO, 0), above[-1] + 1 + _HALO))
+    box = tuple(box)
+    e = values[box] - level
+    np.maximum(e, 0.0, out=e)
     vol = grid.cell_volume()
-    a_val = vol * float(np.sum(grid.weight(m) * values ** p))
-    grad2 = squared_norm(gradient_values(grid, values ** (0.5 * p)))
-    b_val = vol * float(np.sum(grid.weight(m - 3.0) * grad2))
+    a_val = vol * float(np.sum(grid.weight(m)[box] * e ** p))
+    grad2 = squared_norm(gradient_values(grid, e ** (0.5 * p)))
+    b_val = vol * float(np.sum(grid.weight(m - 3.0)[box] * grad2))
     return a_val, b_val
 
 
@@ -174,10 +205,10 @@ def level_set_energies(trajectory, rungs) -> list:
         if not served:
             continue
         f = s.f  # one read of a snapshot kept on disk
+        maxima = _axis_maxima(f.values)
         for r in served:
             level, p, m = windows[r][:3]
-            excess = np.maximum(f.values - level, 0.0)
-            a_val, b_val = _excess_integrals(f.grid, excess, p, m)
+            a_val, b_val = _excess_integrals(f.grid, f.values, level, p, m, maxima)
             a_vals[r].append(a_val)
             b_vals[r].append(b_val)
             times[r].append(s.t)
@@ -234,13 +265,13 @@ def equilibrium_distance(state, m: float = 4.5):
 
 def bulk_quantities(snap, K: float, m: float = 4.5):
     """(y, F, z, G) for one snapshot: excess and capped-bulk weighted
-    3/2-masses and their gradient terms, at threshold K and cap 2K."""
+    3/2-masses and their gradient terms, at threshold K and cap 2K.  The
+    capped bulk min(f, 2K)_+ is the excess of min(f, 2K) over level 0."""
     if K < 0.0:
         raise ValueError("level must be nonnegative")
     f = snap.f  # one read of a snapshot kept on disk
     grid, fv = f.grid, f.values
-    y, f_term = _excess_integrals(grid, np.maximum(fv - K, 0.0), 1.5, m)
-    z, g_term = _excess_integrals(
-        grid, np.maximum(np.minimum(fv, 2.0 * K), 0.0), 1.5, m
-    )
+    y, f_term = _excess_integrals(grid, fv, K, 1.5, m, _axis_maxima(fv))
+    capped = np.minimum(fv, 2.0 * K)
+    z, g_term = _excess_integrals(grid, capped, 0.0, 1.5, m, _axis_maxima(capped))
     return y, f_term, z, g_term

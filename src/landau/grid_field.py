@@ -109,20 +109,39 @@ def make_grid(n: int, l: float) -> VelocityGrid:
 
 def weighted_lp_norm(f: ScalarField, p: float, m: float) -> float:
     """(integral of <v>^m f^p)^(1/p); negative node values are clipped to 0."""
-    if p < 1.0:
+    return weighted_lp_norms(f, (p,), (m,))[(p, m)]
+
+
+def weighted_lp_norms(
+    f: ScalarField, p_list, m_list, out: np.ndarray | None = None
+) -> dict:
+    """``weighted_lp_norm(f, p, m)`` keyed by (p, m) for every p of p_list
+    and m of m_list, raising f to each power p once.  ``out``, (2, n, n, n),
+    holds f^p and its weighted products when given."""
+    if any(p < 1.0 for p in p_list):
         raise ValueError("p must be at least 1")
     vals = f.values
     if np.any(vals < 0.0):
         vals = np.maximum(vals, 0.0)
+    if out is None:
+        out = np.empty((2,) + vals.shape)
     vol = f.grid.cell_volume()
-    return float((vol * np.sum(f.grid.weight(m) * vals ** p)) ** (1.0 / p))
+    norms = {}
+    for p in p_list:
+        fp = np.power(vals, p, out=out[0])
+        for m in m_list:
+            weighted = np.multiply(f.grid.weight(m), fp, out=out[1])
+            norms[(p, m)] = float((vol * np.sum(weighted)) ** (1.0 / p))
+    return norms
 
 
 def gradient_values(
     grid: VelocityGrid, values: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Second-order central differences, one-sided second order at the
-    boundary, as one (3, n, n, n) array, written into ``out`` when given.
+    boundary, of a 3-D array with at least three nodes per axis and
+    spacing ``grid.h``, as one (3,) + values.shape array, written into
+    ``out`` when given.
 
     Each axis runs the operations of np.gradient(values, h, edge_order=2)
     in the same order, so the result is the same bit for bit, without its

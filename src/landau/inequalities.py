@@ -479,7 +479,9 @@ def minimum_principle_monitor(
     Tracks int <v>^n (level(t) - f <v>^k)_+^(3/2) per snapshot; for data
     that starts above the barrier it should be identically zero at t = 0
     and nonincreasing afterwards.  Also gives the lower-bound ratio
-    min f <v>^k / level(t) per snapshot.
+    min f <v>^k / level(t) per snapshot.  A snapshot with min f <v>^k at
+    or above level(t) has no excess: its value is exactly 0.0, the sum's
+    value, set without the power and the sum.
     """
     if n_weight >= -3.0:
         raise ValueError("n_weight must be below -3")
@@ -495,8 +497,12 @@ def minimum_principle_monitor(
     for i, snap in enumerate(states):
         level = params.level(snap.t)
         fk = snap.f.values * wk
-        values[i] = vol * np.sum(wn * np.maximum(level - fk, 0.0) ** 1.5)
-        ratios[i] = np.min(fk) / level
+        fk_min = np.min(fk)
+        ratios[i] = fk_min / level
+        if fk_min >= level:
+            values[i] = 0.0
+        else:
+            values[i] = vol * np.sum(wn * np.maximum(level - fk, 0.0) ** 1.5)
     increases = np.diff(values)
     max_increase = float(np.max(increases)) if increases.size else 0.0
     return MonitorSeries(

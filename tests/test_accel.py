@@ -106,6 +106,23 @@ def test_kernels_bit_identical_for_every_lane_count(monkeypatch, n):
             assert np.array_equal(bits(values), bits(one[name])), (lanes, name)
 
 
+def test_eig_range_scales_by_powers_of_two_exactly():
+    # a power-of-two multiple of A has the same multiple of its range, bit
+    # for bit, also where the unscaled squares of its entries would overflow
+    rng = np.random.default_rng(27)
+    a6 = rng.standard_normal((6, 10, 10, 10))
+    a6[:, 1, 2, 3] = (2.0, 2.0, 2.0, 0.0, 0.0, 0.0)  # exactly isotropic
+    want = 2.0 ** 600 * np.stack(_accel.eig_range(a6))
+    assert np.array_equal(bits(np.stack(_accel.eig_range(2.0 ** 600 * a6))), bits(want))
+    # a finite constant f = 1e200: a finite set (max |A| about 4e200) has a
+    # finite ellipticity range
+    grid = landau.make_grid(8, 4.0)
+    c = landau.compute_coefficients(landau.ScalarField(grid, np.full((8, 8, 8), 1e200)))
+    assert np.all(np.isfinite(c.A)) and np.max(np.abs(c.A)) > 1e200
+    c0_hat, sup_A = c.ellipticity_range()
+    assert math.isfinite(c0_hat) and math.isfinite(sup_A) and sup_A > 1e200
+
+
 def test_one_lane_builds_no_pool(monkeypatch, grid16):
     monkeypatch.setenv("LANDAU_THREADS", "1")
     _accel._pool.cache_clear()

@@ -808,9 +808,9 @@ def test_diagnose_nonpositive_mass_exits_2(tmp_path, capsys):
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("value", [1e200, 1e300, 1e306])
 def test_diagnose_overflowing_coefficients_exits_3(tmp_path, capsys, value):
-    # a finite constant f: at 1e200 and 1e300 the set is finite but its
-    # eigenvalue range and flux divergence overflow, at 1e306 the mass and
-    # the set do
+    # a finite constant f: at 1e200 and 1e300 the set and its eigenvalue
+    # range are finite but the flux divergence overflows, at 1e306 the
+    # mass and the set do
     snap = tmp_path / "huge.lcf"
     f = landau.ScalarField(make_grid(8, 4.0), np.full((8, 8, 8), value))
     write_snapshot(str(snap), f, 0.0)

@@ -1,5 +1,6 @@
 """Scalar functionals: conserved quantities, entropy, Fisher information,
 level-set energies, equilibrium distance, and the bulk split."""
+import math
 import tracemalloc
 
 import numpy as np
@@ -57,7 +58,7 @@ def test_record_in_lent_scratch_is_the_same_record(grid32):
         tracemalloc.stop()
     assert lent == plain
     # 4.8 n^3 doubles of temporaries without the scratch; what is left is
-    # the moments' and the norms' products, and chunks of the compactions
+    # the moments' products and chunks of the compactions
     assert peak < 1.5 * grid32.n ** 3 * 8
 
 
@@ -249,3 +250,98 @@ def test_bulk_quantities_split(grid16):
     assert y1 > y2 > 0.0
     assert f1 > 0.0 and z1 > 0.0
     assert z2 >= z1
+
+
+def _full_grid_excess(grid, values, level, p, m):
+    """The excess integrals as plain full-grid expressions: the whole n^3
+    excess, np.gradient with second-order edges, and full sums."""
+    x = grid.axis
+    r2 = x[:, None, None] ** 2 + x[None, :, None] ** 2 + x[None, None, :] ** 2
+    e = np.maximum(values - level, 0.0)
+    vol = grid.h ** 3
+    a_val = vol * np.sum((1.0 + r2) ** (0.5 * m) * e ** p)
+    grad = np.gradient(e ** (0.5 * p), grid.h, edge_order=2)
+    grad2 = grad[0] ** 2 + grad[1] ** 2 + grad[2] ** 2
+    b_val = vol * np.sum((1.0 + r2) ** (0.5 * (m - 3.0)) * grad2)
+    return a_val, b_val
+
+
+def _bumps(grid, centers, widths, heights):
+    x = grid.axis
+    out = np.zeros((grid.n,) * 3)
+    for (cx, cy, cz), s, a in zip(centers, widths, heights):
+        r2 = ((x[:, None, None] - cx) ** 2 + (x[None, :, None] - cy) ** 2
+              + (x[None, None, :] - cz) ** 2)
+        out += a * np.exp(-0.5 * r2 / (s * s))
+    return out
+
+
+def _oracle_fields(grid):
+    rng = np.random.default_rng(27)
+    l = grid.l
+    yield "random bumps", _bumps(grid, rng.uniform(-0.6 * l, 0.6 * l, (3, 3)),
+                                 rng.uniform(0.6, 1.5, 3), rng.uniform(0.5, 2.0, 3))
+    yield "face", _bumps(grid, [(l, 0.3, -1.1)], [1.2], [1.0])
+    yield "corner", _bumps(grid, [(-l, l, -l)], [1.5], [1.0])
+
+
+@pytest.mark.parametrize("p, m", [(1.5, 4.5), (1.5, 6.0), (2.0, 4.5), (2.0, 6.0)])
+def test_excess_box_matches_full_grid(grid32, p, m, monkeypatch):
+    # the excess integrals on the bounding box equal the plain full-grid
+    # sums to round-off, for interior supports, supports on a face and in
+    # a corner, and level 0 (the box is the whole grid); a level at or
+    # above max f gives exactly 0.0 and takes no gradient
+    from landau import diagnostics
+
+    calls = []
+
+    def counted(grid, values, out=None):
+        calls.append(values.shape)
+        return landau.grid_field.gradient_values(grid, values, out)
+
+    monkeypatch.setattr(diagnostics, "gradient_values", counted)
+    for name, vals in _oracle_fields(grid32):
+        maxima = diagnostics._axis_maxima(vals)
+        top = float(vals.max())
+        for level in (0.0, 0.05 * top, 0.3 * top, 0.8 * top):
+            got = diagnostics._excess_integrals(grid32, vals, level, p, m, maxima)
+            want = _full_grid_excess(grid32, vals, level, p, m)
+            for g, w in zip(got, want):
+                assert w > 0.0, (name, level)
+                assert abs(g - w) <= 1e-13 * w, (name, level, g, w)
+        assert calls[0] == (32, 32, 32)  # level 0: the whole grid
+        assert all(shape != (32, 32, 32) for shape in calls[1:]), name
+        calls.clear()
+        for level in (top, 2.0 * top):
+            got = diagnostics._excess_integrals(grid32, vals, level, p, m, maxima)
+            assert got == (0.0, 0.0)
+        assert calls == []
+
+
+def test_excess_functionals_run_on_the_support(grid32, monkeypatch):
+    # a compact bump: no excess functional hands gradient_values an n^3
+    # array, so their work scales with the support, not the grid
+    from landau import diagnostics
+
+    x = grid32.axis
+    r2 = ((x[:, None, None] - 1.0) ** 2 + x[None, :, None] ** 2
+          + (x[None, None, :] + 0.5) ** 2)
+    bump = np.maximum(1.0 - r2 / 4.0, 0.0) ** 2
+    snaps = tuple(Snapshot(landau.ScalarField(grid32, (1.0 - 0.1 * i) * bump), 0.5 * i, i)
+                  for i in range(3))
+    traj = Trajectory(grid32, snaps, (), 1.0)
+    shapes = []
+
+    def recorded(grid, values, out=None):
+        shapes.append(values.shape)
+        return landau.grid_field.gradient_values(grid, values, out)
+
+    monkeypatch.setattr(diagnostics, "gradient_values", recorded)
+    rungs = [(level, p, 4.5, None) for level in (0.0, 0.1, 0.5) for p in (1.5, 2.0)]
+    wins = landau.level_set_energies(traj, rungs)
+    assert all(w.e > 0.0 for w in wins)
+    for snap in snaps:
+        y, f_term, _, _ = landau.bulk_quantities(snap, 0.2)
+        assert y > 0.0 and f_term > 0.0
+    assert len(shapes) == 3 * len(rungs) + 2 * 3
+    assert max(math.prod(shape) for shape in shapes) < grid32.n ** 3 // 4

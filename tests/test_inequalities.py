@@ -192,6 +192,22 @@ def test_minimum_principle_monitor_exact_barrier(grid16):
         landau.minimum_principle_monitor(traj, params, n_weight=-2.0)
 
 
+def test_minimum_principle_monitor_is_the_plain_sum(grid16):
+    # snapshots above, on and below the barrier: a snapshot with no excess
+    # skips the sum and still has its bits, 0.0, and the others are the sum
+    params = landau.BarrierParams(a=1e-3, k=10.0, eta_rate=0.5, regime=CRITICAL)
+    wk, wn = grid16.weight(10.0), grid16.weight(-6.0)
+    fields = (2.0 * params.a / wk, params.level(0.25) / wk, landau.maxwellian(grid16).values)
+    snaps = tuple(Snapshot(landau.ScalarField(grid16, f), 0.25 * i, i)
+                  for i, f in enumerate(fields))
+    mon = landau.minimum_principle_monitor(Trajectory(grid16, snaps, (), 0.5), params)
+    vol = grid16.cell_volume()
+    for snap, value in zip(snaps, mon.values):
+        excess = np.maximum(params.level(snap.t) - snap.f.values * wk, 0.0)
+        assert value == vol * np.sum(wn * excess ** 1.5)
+    assert mon.values[0] == 0.0 and mon.values[2] > 0.0
+
+
 @pytest.fixture(scope="module")
 def poly_run16(tmp_path_factory):
     return build_run(tmp_path_factory, "polytail", 16, 8.0, 0.05, 0.01, 1)
