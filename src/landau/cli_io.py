@@ -871,10 +871,18 @@ def run_inequality_suite(grid: VelocityGrid, size: int, seed: int):
 
     One pass over each corpus: every sample feeds the Sobolev ratio and
     both interpolation ratios, then is dropped, and the Poincare pairs
-    stream into their check, so the panel holds one sample at a time."""
+    stream into their check, so the panel holds one sample at a time.
+    Each phase has one (4, n, n, n) scratch for its temporaries: the
+    corpus loop's is freed before the Poincare check allocates its own."""
     qs = (2.5, 13.0 / 6.0)
-    rows = [(sobolev_ratio(f, 4.5), interpolation_ratios(f, 1.5, qs, 4.5))
-            for f in iter_corpus(grid, size, seed)]
+    scratch = np.empty((4,) + (grid.n,) * 3)
+
+    def ratios(f):
+        return sobolev_ratio(f, 4.5, scratch), interpolation_ratios(f, 1.5, qs, 4.5, scratch)
+
+    # map holds no sample while the next one is built
+    rows = list(map(ratios, iter_corpus(grid, size, seed)))
+    del scratch
     pairs = iter_poincare_corpus(grid, size, seed)
     eps_grid = np.logspace(-2.0, 0.0, 7)
     return [

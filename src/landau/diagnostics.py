@@ -18,7 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid_field import ScalarField, gradient_values, squared_norm, weighted_lp_norms
+from .grid_field import (
+    ScalarField,
+    gradient_values,
+    squared_norm,
+    weighted_gradient_energy,
+    weighted_lp_norms,
+)
 
 
 @dataclass(frozen=True)
@@ -165,8 +171,7 @@ def _excess_integrals(grid, values, level: float, p: float, m: float, maxima):
     np.maximum(e, 0.0, out=e)
     vol = grid.cell_volume()
     a_val = vol * float(np.sum(grid.weight(m)[box] * e ** p))
-    grad2 = squared_norm(gradient_values(grid, e ** (0.5 * p)))
-    b_val = vol * float(np.sum(grid.weight(m - 3.0)[box] * grad2))
+    b_val = weighted_gradient_energy(grid, e ** (0.5 * p), grid.weight(m - 3.0)[box])
     return a_val, b_val
 
 

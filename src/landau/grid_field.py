@@ -9,9 +9,17 @@ axis at each read.  ``ScalarField`` is the one field container, a grid
 and finite (n, n, n) values; vector and matrix quantities, such as a
 gradient or a coefficient set, are bare (3, n, n, n) and (6, n, n, n)
 arrays.
+
+``gradient_values`` runs each axis through one per-axis stencil, which
+takes its interior differences on the flattened array, so its ``out``
+must be C-contiguous; it gives all three components or, with ``axis``,
+one.  ``weighted_gradient_energy`` takes the components one at a time:
+it overwrites both rows of its (2,) + shape ``out``, the scratch callers
+lend it, and builds no (3,) + shape gradient.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -136,31 +144,81 @@ def weighted_lp_norms(
 
 
 def gradient_values(
-    grid: VelocityGrid, values: np.ndarray, out: np.ndarray | None = None
+    grid: VelocityGrid, values: np.ndarray, out: np.ndarray | None = None,
+    axis: int | None = None,
 ) -> np.ndarray:
     """Second-order central differences, one-sided second order at the
     boundary, of a 3-D array with at least three nodes per axis and
-    spacing ``grid.h``, as one (3,) + values.shape array, written into
-    ``out`` when given.
+    spacing ``grid.h``, as one (3,) + values.shape array, or, for an
+    ``axis`` d, its component d as one values.shape array; written into
+    ``out``, C-contiguous, when given.
 
     Each axis runs the operations of np.gradient(values, h, edge_order=2)
     in the same order, so the result is the same bit for bit, without its
     three per-axis arrays and the copy that stacks them.
     """
-    h = grid.h
+    if axis is not None:
+        if out is None:
+            out = np.empty(values.shape)
+        _axis_gradient(values, grid.h, axis, out)
+        return out
     if out is None:
         out = np.empty((3,) + values.shape)
     for d in range(3):
-        f, g = np.moveaxis(values, d, 0), np.moveaxis(out[d], d, 0)
-        np.subtract(f[2:], f[:-2], out=g[1:-1])
-        g[1:-1] /= 2.0 * h
-        np.multiply(f[0], -1.5 / h, out=g[0])
-        g[0] += (2.0 / h) * f[1]
-        g[0] += (-0.5 / h) * f[2]
-        np.multiply(f[-3], 0.5 / h, out=g[-1])
-        g[-1] += (-2.0 / h) * f[-2]
-        g[-1] += (1.5 / h) * f[-1]
+        _axis_gradient(values, grid.h, d, out[d])
     return out
+
+
+def _axis_gradient(values: np.ndarray, h: float, d: int, out: np.ndarray) -> None:
+    """Component d of ``gradient_values``, written into ``out``, a
+    C-contiguous array of the shape of values.
+
+    The central difference runs on the flattened arrays, offset by the
+    stride s of axis d, so every axis reads contiguous memory; it also
+    fills the nodes where axis d ends, and the one-sided edge stencils,
+    taken on slices along axis d, then overwrite those."""
+    if not out.flags.c_contiguous:
+        raise ValueError("gradient_values needs a C-contiguous out")
+    s = math.prod(values.shape[d + 1:])
+    flat = values.reshape(-1)
+    inner = out.reshape(-1)[s:-s]
+    np.subtract(flat[2 * s:], flat[:-2 * s], out=inner)
+    inner /= 2.0 * h
+
+    def at(i):
+        return (slice(None),) * d + (i,)
+
+    first, last = out[at(0)], out[at(-1)]
+    np.multiply(values[at(0)], -1.5 / h, out=first)
+    first += (2.0 / h) * values[at(1)]
+    first += (-0.5 / h) * values[at(2)]
+    np.multiply(values[at(-3)], 0.5 / h, out=last)
+    last += (-2.0 / h) * values[at(-2)]
+    last += (1.5 / h) * values[at(-1)]
+
+
+def weighted_gradient_energy(
+    grid: VelocityGrid, values: np.ndarray, weight: np.ndarray,
+    out: np.ndarray | None = None,
+) -> float:
+    """h^3 times the sum of weight |grad values|^2, from
+    ``gradient_values`` taken one axis at a time.
+
+    The squared components accumulate as (d0^2 + d1^2) + d2^2 in
+    ``out[0]``, each next one squared in ``out[1]``: the order
+    ``squared_norm`` sums in, so the result has the bits of
+    h^3 sum(weight * squared_norm(gradient_values(grid, values))), and no
+    (3,) + values.shape gradient is built.  ``out``, (2,) + values.shape,
+    is overwritten when given."""
+    if out is None:
+        out = np.empty((2,) + values.shape)
+    acc, row = out[0], out[1]
+    np.square(gradient_values(grid, values, acc, axis=0), out=acc)
+    for d in (1, 2):
+        np.square(gradient_values(grid, values, row, axis=d), out=row)
+        acc += row
+    acc *= weight
+    return grid.cell_volume() * float(np.sum(acc))
 
 
 def squared_norm(g: np.ndarray) -> np.ndarray:

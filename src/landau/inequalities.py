@@ -3,6 +3,18 @@
 Unknown absolute constants are estimated, never asserted: a check passes
 when the empirical constant is finite and stable across independent corpus
 halves.  Corpora are seeded and recorded so reports are reproducible.
+
+Scratch contract: the per-sample functions ``sobolev_ratio``,
+``interpolation_ratios`` and ``_poincare_terms`` write every temporary
+into the rows of an optional ``scratch`` of shape (rows, n, n, n), and
+allocate one when it is not given.  ``sobolev_ratio`` overwrites rows 0
+and 1, the other two rows 0 to 3; what a row holds after a call is
+undefined.  A sample is never a view of a scratch: each corpus generator
+builds each sample in place in a fresh array of its own, so a caller may
+hold samples, as ``list(iter_corpus(...))`` does, while others are
+checked.  The three functions take their gradient energies axis by axis
+through ``grid_field.weighted_gradient_energy``, so none builds a
+(3, n, n, n) gradient.
 """
 from __future__ import annotations
 
@@ -13,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HypothesisError
-from .grid_field import ScalarField, VelocityGrid, gradient_values, squared_norm
+from .grid_field import ScalarField, VelocityGrid, weighted_gradient_energy
 
 # sharp constant in (integral u^6)^(1/3) <= C integral |grad u|^2 on R^3
 SOBOLEV_CONSTANT = (2.0 / math.pi) ** (4.0 / 3.0) / 3.0
@@ -77,33 +89,58 @@ def report_from_ratios(name, ratios, seed, notes="", extra_pass=True) -> Inequal
 def iter_corpus(grid: VelocityGrid, size: int, seed: int) -> Iterator[ScalarField]:
     """Seeded corpus of smooth decaying fields: Gaussians, mixtures, tails."""
     rng = np.random.default_rng(seed)
+    term = np.empty((grid.n,) * 3)  # each next Gaussian of a mixture
     for i in range(size):
-        yield _corpus_field(grid, rng, i % 3)
+        yield _corpus_field(grid, rng, i % 3, term)
 
 
-def _corpus_field(grid: VelocityGrid, rng: np.random.Generator, kind: int) -> ScalarField:
-    # a function of its own, so no temporary of a sample stays bound in the
-    # generator's frame while the caller checks the sample
+def _corpus_field(grid: VelocityGrid, rng: np.random.Generator, kind: int,
+                  term: np.ndarray) -> ScalarField:
+    # a function of its own, so no name of a sample stays bound in the
+    # generator's frame while the caller checks the sample; the sample is
+    # built in place in a fresh array, with the bits of the plain
+    # expressions, and ``term`` is overwritten
     amp = 10.0 ** rng.uniform(-1.0, 1.0)
     if kind == 0:
         center = rng.uniform(-1.5, 1.5, size=3)
         width = rng.uniform(0.4, 1.6)
-        r2 = grid.radius2_about(center)
-        vals = amp * np.exp(-0.5 * r2 / width ** 2)
+        vals = _gaussian(grid, center, width, amp)
     elif kind == 1:
         vals = np.zeros((grid.n,) * 3)
         for _ in range(int(rng.integers(2, 4))):
             center = rng.uniform(-1.5, 1.5, size=3)
             width = rng.uniform(0.4, 1.2)
             w = rng.uniform(0.2, 1.0)
-            r2 = grid.radius2_about(center)
-            vals = vals + amp * w * np.exp(-0.5 * r2 / width ** 2)
+            vals += _gaussian(grid, center, width, amp * w, out=term)
     else:
         center = rng.uniform(-1.0, 1.0, size=3)
         k_tail = rng.uniform(6.0, 12.0)
-        r2 = grid.radius2_about(center)
-        vals = amp * (1.0 + r2) ** (-0.5 * k_tail)
+        vals = grid.radius2_about(center)
+        vals += 1.0
+        _power(vals, -0.5 * k_tail, vals)
+        vals *= amp
     return ScalarField(grid, vals)
+
+
+def _gaussian(grid: VelocityGrid, center, width: float, amp: float,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """amp * exp(-0.5 |v - center|^2 / width^2) at the nodes, in the plain
+    expression's order of operations, written into ``out`` when given."""
+    r2 = grid.radius2_about(center, out=out)
+    r2 *= -0.5
+    r2 /= width ** 2
+    np.exp(r2, out=r2)
+    r2 *= amp
+    return r2
+
+
+def _power(x: np.ndarray, e: float, out: np.ndarray) -> np.ndarray:
+    """x ** e written into ``out``, with the bits of the plain expression:
+    ``**`` squares for e = 2 where np.power calls pow.  For e = 1, where
+    ``**`` copies, pow returns x, as a libm correct to within an ulp must."""
+    if e == 2.0:
+        return np.square(x, out=out)
+    return np.power(x, e, out=out)
 
 
 def iter_poincare_corpus(
@@ -114,6 +151,7 @@ def iter_poincare_corpus(
     The stratification makes the corpus envelope trace the epsilon power
     law of the split instead of a single sample's linear cutoff.  Every
     pair shares one of two phi fields: the cutoff at R = 0.3 l, or 1.
+    Each g is built in place in a fresh array.
     """
     rng = np.random.default_rng(seed)
     amps = np.logspace(-3.0, 3.0, size) * rng.uniform(0.95, 1.05, size=size)
@@ -122,8 +160,8 @@ def iter_poincare_corpus(
     for i in range(size):
         center = rng.normal(0.0, 0.1, size=3)
         width = rng.uniform(0.9, 1.1)
-        g = amps[i] * np.exp(-0.5 * grid.radius2_about(center) / width ** 2)
-        yield ScalarField(grid, g), (phi_cut if i % 2 else phi_one)
+        yield (ScalarField(grid, _gaussian(grid, center, width, amps[i])),
+               phi_cut if i % 2 else phi_one)
 
 
 # ---------------------------------------------------------------------------
@@ -141,22 +179,29 @@ def _sobolev_c1(k: float) -> float:
     return SOBOLEV_CONSTANT * (k - 3.0) * (k - 1.0) / 4.0
 
 
-def sobolev_ratio(f: ScalarField, k: float) -> float | None:
+def sobolev_ratio(f: ScalarField, k: float, scratch: np.ndarray | None = None) -> float | None:
     """One sample's ratio for the weighted Sobolev bound at weight index k:
     [(int <v>^(3k-9) f^6)^(1/3) + C1 int <v>^(k-5) f^2] over
     int <v>^(k-3) |grad f|^2, with C1 = (k-3)(k-1)/4 relative to the
-    Sobolev constant.  None for a constant sample."""
+    Sobolev constant.  None for a constant sample.  Rows 0 and 1 of
+    ``scratch``, at least (2, n, n, n), are overwritten; one is allocated
+    when it is not given."""
     c1 = _sobolev_c1(k)
     grid = f.grid
     vol = grid.cell_volume()
     fv = f.values
+    if scratch is None:
+        scratch = np.empty((2,) + fv.shape)
     w_top, w_mid, w_grad = map(grid.weight, (3.0 * k - 9.0, k - 5.0, k - 3.0))
-    g2 = squared_norm(gradient_values(grid, fv))
-    rhs = vol * float(np.sum(w_grad * g2))
+    rhs = weighted_gradient_energy(grid, fv, w_grad, out=scratch[:2])
     if rhs <= 0.0:
         return None
-    lhs1 = (vol * float(np.sum(w_top * fv ** 6))) ** (1.0 / 3.0)
-    lhs2 = c1 * vol * float(np.sum(w_mid * fv * fv))
+    term = np.power(fv, 6, out=scratch[0])
+    term *= w_top
+    lhs1 = (vol * float(np.sum(term))) ** (1.0 / 3.0)
+    np.multiply(w_mid, fv, out=term)
+    term *= fv
+    lhs2 = c1 * vol * float(np.sum(term))
     return (lhs1 + lhs2) / rhs
 
 
@@ -178,28 +223,38 @@ def interpolation_weight(p: float, q: float, k: float) -> float:
     return (2.0 * k * p - (k - 3.0) * (3.0 * q - 3.0 * p)) / (3.0 * p - q)
 
 
-def interpolation_ratios(f: ScalarField, p: float, qs, k: float) -> list:
+def interpolation_ratios(f: ScalarField, p: float, qs, k: float,
+                         scratch: np.ndarray | None = None) -> list:
     """One sample's ratios of int <v>^k f^q against the mass and gradient
     terms, one per q in qs, in order; None where a term vanishes.
 
     The sample is clipped and its gradient term taken once for all q;
-    only f^q and the mass sum against <v>^m(q) are computed per q.
+    only f^q and the mass sum against <v>^m(q) are computed per q.  Rows 0
+    to 3 of ``scratch``, at least (4, n, n, n), are overwritten: row 0
+    holds the clipped sample, row 1 its powers, rows 2 and 3 the weighted
+    products and the gradient energy.  One is allocated when it is not
+    given.
     """
     ms = [interpolation_weight(p, q, k) for q in qs]
     grid = f.grid
     vol = grid.cell_volume()
-    fv = np.maximum(f.values, 0.0)
-    fvp = fv ** p
-    masses = [vol * float(np.sum(grid.weight(m) * fvp)) for m in ms]
-    del fvp  # not alive at the gradient, which sets the working-set peak
-    g2 = squared_norm(gradient_values(grid, fv ** (0.5 * p)))
-    grad = vol * float(np.sum(grid.weight(k - 3.0) * g2))
+    if scratch is None:
+        scratch = np.empty((4,) + f.values.shape)
+    fv, power, prod = scratch[0], scratch[1], scratch[2]
+    np.maximum(f.values, 0.0, out=fv)
+    _power(fv, p, power)
+    masses = [vol * float(np.sum(np.multiply(grid.weight(m), power, out=prod)))
+              for m in ms]
+    _power(fv, 0.5 * p, power)
+    grad = weighted_gradient_energy(grid, power, grid.weight(k - 3.0), out=scratch[2:4])
     ratios = []
     for q, mass in zip(qs, masses):
         if mass <= 0.0 or grad <= 0.0:
             ratios.append(None)
             continue
-        num = vol * float(np.sum(grid.weight(k) * fv ** q))
+        _power(fv, q, power)
+        power *= grid.weight(k)
+        num = vol * float(np.sum(power))
         expo_mass = (3.0 * p - q) / (2.0 * p)
         expo_grad = 3.0 * (q - p) / (2.0 * p)
         ratios.append(num / (mass ** expo_mass * grad ** expo_grad))
@@ -222,37 +277,40 @@ def interpolation_reports(
     ]
 
 
-def _poincare_terms(g: ScalarField, phi: ScalarField, p: float, q: float) -> tuple:
+def _poincare_terms(g: ScalarField, phi: ScalarField, p: float, q: float,
+                    scratch: np.ndarray | None = None) -> tuple:
     """(LHS, G, M, N) of one eps-Poincare pair: the weighted masses of
     phi^2 g^(p+1) and phi^2 g^p, of g^q, and the gradient term of phi g^(p/2).
 
-    A function of its own, so no temporary of a pair stays bound while the
-    next one is built.  Every product is formed in place in one of its
-    factors, so the sums see the bits of the plain expressions, and the
-    gradient is taken once the other terms are freed.
+    Every product is formed in place in a row of ``scratch``, at least
+    (4, n, n, n), so the sums see the bits of the plain expressions: row 0
+    holds the clipped g, row 1 g^p and then phi g^(p/2), row 2
+    <v>^(9/2) phi^2, row 3 the other powers; rows 2 and 3 then take the
+    gradient energy.  All four rows are
+    overwritten; they are allocated when ``scratch`` is not given.
     """
     grid = g.grid
     vol = grid.cell_volume()
     w92, w32 = grid.weight(4.5), grid.weight(1.5)
-    gv = np.maximum(g.values, 0.0)
+    if scratch is None:
+        scratch = np.empty((4,) + g.values.shape)
+    gv, gp, wpp, term = scratch[:4]
+    np.maximum(g.values, 0.0, out=gv)
     pv = phi.values
-    gp = gv ** p
-    wpp = w92 * pv
+    _power(gv, p, gp)
+    np.multiply(w92, pv, out=wpp)
     wpp *= pv
-    term = gv ** (p + 1.0)
+    _power(gv, p + 1.0, term)
     term *= wpp
     lhs = vol * float(np.sum(term))
     wpp *= gp
     mterm = vol * float(np.sum(wpp))
-    term = gp if q == p else gv ** q
+    term = gp if q == p else _power(gv, q, term)
     term *= w92
     nq = vol * float(np.sum(term))
-    del gp, wpp
-    term = gv ** (0.5 * p)
-    term *= pv
-    grad2 = squared_norm(gradient_values(grid, term))
-    grad2 *= w32
-    return lhs, vol * float(np.sum(grad2)), mterm, nq
+    root = _power(gv, 0.5 * p, gp)
+    root *= pv
+    return lhs, weighted_gradient_energy(grid, root, w32, out=scratch[2:4]), mterm, nq
 
 
 def check_eps_poincare(
@@ -278,8 +336,12 @@ def check_eps_poincare(
     theta = 3.0 / (2.0 * q - 3.0)
 
     samples = []
+    scratch = None
     for g, phi in pairs:
-        lhs, gterm, mterm, nq = _poincare_terms(g, phi, p, q)
+        if scratch is None:  # once the pairs' source holds its phi fields
+            scratch = np.empty((4,) + g.values.shape)
+        lhs, gterm, mterm, nq = _poincare_terms(g, phi, p, q, scratch)
+        del g, phi  # not held while the next pair is built
         if mterm <= 0.0 or nq <= 0.0:
             continue  # degenerate sample, skipped
         nfac = nq ** (2.0 / (2.0 * q - 3.0))

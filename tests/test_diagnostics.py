@@ -198,20 +198,21 @@ def test_level_above_max_costs_no_gradient(grid16, monkeypatch):
     traj = Trajectory(grid16, (Snapshot(mu, 0.0, 0), Snapshot(mu, 1.0, 1)), (), 1.0)
     level = 2.0 * float(mu.values.max())
     calls = []
+    gradient_values = landau.grid_field.gradient_values
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(1)
-        return landau.grid_field.gradient_values(*args)
+        return gradient_values(*args, **kwargs)
 
-    monkeypatch.setattr(diagnostics, "gradient_values", counted)
+    monkeypatch.setattr(landau.grid_field, "gradient_values", counted)
     win = landau.level_set_energy(traj, level)
     assert win.e == 0.0 and win.a_sup == 0.0 and win.b_int == 0.0
     assert calls == []
     # the bulk series: y and F vanish the same way; only the capped bulk
-    # z, G takes its one gradient per snapshot
+    # z, G takes its one gradient per snapshot, one call per axis
     series = [diagnostics.bulk_quantities(s, level, 4.5) for s in traj.states]
     assert [row[:2] for row in series] == [(0.0, 0.0)] * 2
-    assert len(calls) == 2
+    assert len(calls) == 2 * 3
 
 
 @pytest.mark.parametrize("grid_name", ["grid16", "grid32"])
@@ -294,12 +295,13 @@ def test_excess_box_matches_full_grid(grid32, p, m, monkeypatch):
     from landau import diagnostics
 
     calls = []
+    gradient_values = landau.grid_field.gradient_values
 
-    def counted(grid, values, out=None):
+    def counted(grid, values, out=None, axis=None):
         calls.append(values.shape)
-        return landau.grid_field.gradient_values(grid, values, out)
+        return gradient_values(grid, values, out, axis)
 
-    monkeypatch.setattr(diagnostics, "gradient_values", counted)
+    monkeypatch.setattr(landau.grid_field, "gradient_values", counted)
     for name, vals in _oracle_fields(grid32):
         maxima = diagnostics._axis_maxima(vals)
         top = float(vals.max())
@@ -309,8 +311,9 @@ def test_excess_box_matches_full_grid(grid32, p, m, monkeypatch):
             for g, w in zip(got, want):
                 assert w > 0.0, (name, level)
                 assert abs(g - w) <= 1e-13 * w, (name, level, g, w)
-        assert calls[0] == (32, 32, 32)  # level 0: the whole grid
-        assert all(shape != (32, 32, 32) for shape in calls[1:]), name
+        # level 0: the whole grid, one call per axis
+        assert calls[:3] == [(32, 32, 32)] * 3
+        assert all(shape != (32, 32, 32) for shape in calls[3:]), name
         calls.clear()
         for level in (top, 2.0 * top):
             got = diagnostics._excess_integrals(grid32, vals, level, p, m, maxima)
@@ -331,17 +334,18 @@ def test_excess_functionals_run_on_the_support(grid32, monkeypatch):
                   for i in range(3))
     traj = Trajectory(grid32, snaps, (), 1.0)
     shapes = []
+    gradient_values = landau.grid_field.gradient_values
 
-    def recorded(grid, values, out=None):
+    def recorded(grid, values, out=None, axis=None):
         shapes.append(values.shape)
-        return landau.grid_field.gradient_values(grid, values, out)
+        return gradient_values(grid, values, out, axis)
 
-    monkeypatch.setattr(diagnostics, "gradient_values", recorded)
+    monkeypatch.setattr(landau.grid_field, "gradient_values", recorded)
     rungs = [(level, p, 4.5, None) for level in (0.0, 0.1, 0.5) for p in (1.5, 2.0)]
     wins = landau.level_set_energies(traj, rungs)
     assert all(w.e > 0.0 for w in wins)
     for snap in snaps:
         y, f_term, _, _ = landau.bulk_quantities(snap, 0.2)
         assert y > 0.0 and f_term > 0.0
-    assert len(shapes) == 3 * len(rungs) + 2 * 3
+    assert len(shapes) == 3 * (3 * len(rungs) + 2 * 3)  # one call per axis
     assert max(math.prod(shape) for shape in shapes) < grid32.n ** 3 // 4

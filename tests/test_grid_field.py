@@ -7,7 +7,12 @@ import pytest
 
 import landau
 from landau.diagnostics import moments
-from landau.grid_field import gradient_values, laplacian_values, squared_norm
+from landau.grid_field import (
+    gradient_values,
+    laplacian_values,
+    squared_norm,
+    weighted_gradient_energy,
+)
 
 from oracle_values import LP_1_5_M_4_5_MU, MASS_MU_N16, MASS_MU_N64
 
@@ -185,6 +190,36 @@ def test_gradient_stencil_bit_identical_to_numpy(n):
         out = np.full((3,) + vals.shape, np.nan)
         assert gradient_values(g, vals, out=out) is out
         assert np.array_equal(out.view(np.uint64), want)
+
+
+@pytest.mark.parametrize("shape", [(3, 3, 3), (5, 7, 9), (9, 4, 3), (16, 16, 16)])
+def test_gradient_on_boxes_bit_identical_to_numpy(grid16, shape):
+    # each axis's interior difference runs on the flattened array at that
+    # axis's stride; the edge stencils overwrite the nodes where it wraps
+    vals = np.random.default_rng(len(shape) + shape[0]).standard_normal(shape)
+    want = np.stack(np.gradient(vals, grid16.h, edge_order=2)).view(np.uint64)
+    assert np.array_equal(gradient_values(grid16, vals).view(np.uint64), want)
+    for d in range(3):  # one component, alone
+        got = gradient_values(grid16, vals, axis=d)
+        assert got.shape == shape and np.array_equal(got.view(np.uint64), want[d])
+    strided = np.empty((3,) + shape[::-1]).transpose(0, 3, 2, 1)
+    with pytest.raises(ValueError):
+        gradient_values(grid16, vals, out=strided)
+
+
+@pytest.mark.parametrize("shape", [(16, 16, 16), (5, 7, 9)])
+def test_weighted_gradient_energy_bit_identical(grid16, shape):
+    # axis by axis in two rows, with the bits of the sum over the weighted
+    # squared norm of the whole gradient, with or without a given out
+    rng = np.random.default_rng(5)
+    vals = rng.standard_normal(shape)
+    weight = rng.uniform(0.5, 2.0, shape)
+    g = np.gradient(vals, grid16.h, edge_order=2)
+    want = grid16.cell_volume() * float(
+        np.sum(weight * (g[0] ** 2 + g[1] ** 2 + g[2] ** 2)))
+    assert weighted_gradient_energy(grid16, vals, weight) == want
+    out = np.full((2,) + shape, np.nan)
+    assert weighted_gradient_energy(grid16, vals, weight, out=out) == want
 
 
 def test_squared_norm_in_place_bit_identical(grid16):

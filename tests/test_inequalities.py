@@ -110,7 +110,8 @@ def _interpolation_reference(corpus, p, q, k, seed):
 @pytest.mark.parametrize("grid_name", ["grid16", "grid32"])
 def test_interpolation_multi_q_matches_per_q_reference(request, grid_name):
     # one pass per sample for all q gives each q's report bit for bit,
-    # clipped and skipped (all-zero, all-negative) samples included
+    # clipped and skipped (all-zero, all-negative) samples included, with
+    # its own scratch or a lent one holding another sample's leftovers
     grid = request.getfixturevalue(grid_name)
     corpus = list(landau.iter_corpus(grid, 9, 13))
     signed = corpus[0].values - 0.5 * float(corpus[0].values.max())
@@ -118,9 +119,79 @@ def test_interpolation_multi_q_matches_per_q_reference(request, grid_name):
     corpus += [landau.ScalarField(grid, v) for v in (signed, zero, -corpus[1].values)]
     qs = (2.5, 13.0 / 6.0, 4.0)
     rows = [interpolation_ratios(f, 1.5, qs, 4.5) for f in corpus]
+    lent = np.full((4,) + (grid.n,) * 3, np.nan)
+    assert [interpolation_ratios(f, 1.5, qs, 4.5, lent) for f in corpus] == rows
     reports = interpolation_reports(1.5, qs, 4.5, rows, 13)
     assert reports == [_interpolation_reference(corpus, 1.5, q, 4.5, 13) for q in qs]
     assert reports[0].corpus_size == len(corpus) - 2
+
+
+def _signed_samples(grid):
+    """Corpus samples with a signed, an all-zero and a negative one."""
+    corpus = list(landau.iter_corpus(grid, 3, 17))
+    signed = corpus[0].values - 0.5 * float(corpus[0].values.max())
+    extra = (signed, np.zeros((grid.n,) * 3), -corpus[1].values)
+    return corpus + [landau.ScalarField(grid, v) for v in extra]
+
+
+def _plain_energy(grid, u, weight):
+    """h^3 sum of weight |grad u|^2 from np.gradient, summed as written."""
+    g = np.gradient(u, grid.h, edge_order=2)
+    return grid.cell_volume() * float(np.sum(weight * (g[0] ** 2 + g[1] ** 2 + g[2] ** 2)))
+
+
+def _sobolev_reference(f, k):
+    """sobolev_ratio as the plain expressions of its three sums."""
+    grid, fv = f.grid, f.values
+    vol = grid.cell_volume()
+    rhs = _plain_energy(grid, fv, grid.weight(k - 3.0))
+    if rhs <= 0.0:
+        return None
+    lhs1 = (vol * float(np.sum(grid.weight(3.0 * k - 9.0) * fv ** 6))) ** (1.0 / 3.0)
+    lhs2 = (inequalities._sobolev_c1(k) * vol
+            * float(np.sum(grid.weight(k - 5.0) * fv * fv)))
+    return (lhs1 + lhs2) / rhs
+
+
+def _poincare_reference(g, phi, p, q):
+    """(LHS, G, M, N) of _poincare_terms as plain expressions."""
+    grid = g.grid
+    vol = grid.cell_volume()
+    w92, w32 = grid.weight(4.5), grid.weight(1.5)
+    gv, pv = np.maximum(g.values, 0.0), phi.values
+    lhs = vol * float(np.sum(w92 * pv * pv * gv ** (p + 1.0)))
+    mterm = vol * float(np.sum(w92 * pv * pv * gv ** p))
+    nq = vol * float(np.sum(w92 * gv ** q))
+    return lhs, _plain_energy(grid, gv ** (0.5 * p) * pv, w32), mterm, nq
+
+
+@pytest.mark.parametrize("grid_name", ["grid16", "grid32"])
+def test_sobolev_ratio_matches_plain_expressions(request, grid_name):
+    # bit for bit, the constant sample giving None, with its own scratch or
+    # a lent one whose rows hold another sample's leftovers
+    grid = request.getfixturevalue(grid_name)
+    samples = _signed_samples(grid)
+    lent = np.full((2,) + (grid.n,) * 3, np.nan)
+    for f in samples:
+        want = _sobolev_reference(f, 4.5)
+        assert sobolev_ratio(f, 4.5) == want
+        assert sobolev_ratio(f, 4.5, lent) == want
+    assert sobolev_ratio(samples[-2], 4.5) is None
+
+
+@pytest.mark.parametrize("grid_name", ["grid16", "grid32"])
+@pytest.mark.parametrize("p, q", [(2.0, 2.0), (2.0, 3.0), (1.5, 2.5), (4.0, 3.0)])
+def test_poincare_terms_match_plain_expressions(request, grid_name, p, q):
+    # all four terms bit for bit: p = 2 takes the copy of g^1 and the square
+    # of g^2, q = p the reuse of g^p, p = 4 the square of g^(p/2)
+    grid = request.getfixturevalue(grid_name)
+    pairs = list(landau.iter_poincare_corpus(grid, 2, 3))
+    lent = np.full((4,) + (grid.n,) * 3, np.nan)
+    for g in _signed_samples(grid):
+        for _, phi in pairs:
+            want = _poincare_reference(g, phi, p, q)
+            assert inequalities._poincare_terms(g, phi, p, q) == want
+            assert inequalities._poincare_terms(g, phi, p, q, lent) == want
 
 
 def test_eps_poincare_report_structure(grid16):
@@ -306,13 +377,14 @@ def test_radius2_matches_coordinate_sum(request, grid_name):
 
 @pytest.mark.parametrize("grid_name", ["grid16", "grid32"])
 def test_corpora_match_coordinate_construction(request, grid_name):
-    # the streams draw in the old construction's order
+    # the streams draw in the old construction's order; the samples are
+    # held, so none may be a view of a buffer the generators reuse
     grid = request.getfixturevalue(grid_name)
-    corpus = landau.iter_corpus(grid, 9, 29)
+    corpus = list(landau.iter_corpus(grid, 9, 29))
     for f, want in zip(corpus, _old_make_corpus(grid, 9, 29), strict=True):
         assert np.array_equal(f.values, want)
     for (g, phi), (g_want, phi_want) in zip(
-        landau.iter_poincare_corpus(grid, 6, 29),
+        list(landau.iter_poincare_corpus(grid, 6, 29)),
         _old_make_poincare_corpus(grid, 6, 29), strict=True
     ):
         assert np.array_equal(g.values, g_want)
@@ -353,6 +425,23 @@ def test_suite_memory_does_not_grow_with_corpus_size():
         finally:
             tracemalloc.stop()
     assert peaks[1] - peaks[0] < 8 * n ** 3
+
+
+# tracemalloc peak of run_inequality_suite(make_grid(32, 8.0), 8, 2026) in
+# bytes, measured on the panel that allocated its temporaries per sample
+# (11.85 n^3 doubles); the panel now peaks at 10.58 n^3 doubles
+_SUITE_PEAK_BOUND_N32 = 3_105_056
+
+
+def test_suite_memory_stays_below_the_per_sample_panel():
+    grid = landau.make_grid(32, 8.0)  # fresh, so the run builds its weights
+    tracemalloc.start()
+    try:
+        run_inequality_suite(grid, 8, 2026)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _SUITE_PEAK_BOUND_N32
 
 
 def test_corpus_properties(grid16):
