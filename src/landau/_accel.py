@@ -16,7 +16,10 @@ LANDAU_THREADS if set, else the CPU affinity count; with one lane the
 kernel runs on the caller thread and no pool exists.  The pool threads
 allocate no grid-sized array (every temporary goes to a workspace the
 caller allocates) and call no public function, so a tracer that wraps the
-public functions only ever runs on the caller thread.
+public functions only ever runs on the caller thread.  Both kernels take
+an optional ``scratch``, flat float64 memory the caller lends, such as the
+dead spectrum of a ``coefficients.Workspace``: their work arrays are laid
+end to end in it when it holds them all, and allocated otherwise.
 """
 from __future__ import annotations
 
@@ -95,11 +98,27 @@ def _lanes_and_chunk(shape, splits: int = 1) -> tuple[int, int]:
     return lanes, min(max(1, _CHUNK_NODES // max(1, plane)), -(-band // splits))
 
 
+def _carve(scratch: np.ndarray | None, *specs) -> list:
+    """Arrays of the given (shape, dtype) specs, laid end to end in the
+    memory of the flat float64 array ``scratch`` when it holds them all,
+    else new."""
+    sizes = [math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in specs]
+    if scratch is None or scratch.nbytes < sum(sizes):
+        return [np.empty(shape, dtype) for shape, dtype in specs]
+    raw = scratch.view(np.uint8)
+    arrays, start = [], 0
+    for (shape, dtype), size in zip(specs, sizes):
+        arrays.append(raw[start : start + size].view(dtype).reshape(shape))
+        start += size
+    return arrays
+
+
 def eig_range(
-    a6: np.ndarray, out: np.ndarray | None = None
+    a6: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Smallest and largest eigenvalue of a field of symmetric 3x3 matrices,
-    written into the two rows of ``out`` when given.
+    written into the two rows of ``out`` when given; the work arrays go
+    into ``scratch`` when it holds them.
 
     Closed-form trigonometric method; no iterative solver.  The steps run
     chunk by chunk on a few work arrays, rounding the same operands in the
@@ -110,12 +129,11 @@ def eig_range(
     """
     shape = a6.shape[1:]
     # at least two chunks per band: on small grids one chunk would take a
-    # whole band, and the eight work arrays would span the grid and set a
-    # step's peak
+    # whole band, and the eight work arrays would span the grid
     lanes, chunk = _lanes_and_chunk(shape, splits=2)
     lmin, lmax = (np.empty(shape), np.empty(shape)) if out is None else out
-    work = np.empty((lanes, 8, chunk) + shape[1:])
-    isotropic = np.empty((lanes, chunk) + shape[1:], dtype=bool)
+    work, isotropic = _carve(scratch, ((lanes, 8, chunk) + shape[1:], float),
+                             ((lanes, chunk) + shape[1:], bool))
     _in_slabs(partial(_eig_chunk, a6, lmin, lmax, work, isotropic),
               shape[0], lanes, chunk)
     return lmin, lmax
@@ -203,8 +221,12 @@ def div_flux(
     a6: np.ndarray,
     ga3: np.ndarray,
     h: float,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Divergence of the face flux A grad(f) - grad(a) f on the cell grid.
+    """Divergence of the face flux A grad(f) - grad(a) f on the cell grid,
+    written into ``out`` when given; the face buffers go into ``scratch``
+    when it holds them.
 
     Face values are arithmetic means of the two adjacent cells, the normal
     derivative is the two-point difference across the face, tangential
@@ -212,9 +234,12 @@ def div_flux(
     faces carry zero flux, so the full-grid sum telescopes to round-off.
     """
     lanes, chunk = _lanes_and_chunk(f.shape)
-    out = np.zeros_like(f)
+    if out is None:
+        out = np.zeros_like(f)
+    else:
+        out.fill(0.0)
     # per lane: the face, a product and a sum, for chunk + 1 rows of faces
-    work = np.empty((lanes, 3, (chunk + 1) * math.prod(f.shape[1:])))
+    work, = _carve(scratch, ((lanes, 3, (chunk + 1) * math.prod(f.shape[1:])), float))
     _in_slabs(partial(_flux_chunk, f, g3, a6, ga3, h, out, work),
               f.shape[0], lanes, chunk)
     return out

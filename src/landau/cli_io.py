@@ -4,10 +4,10 @@ and plots.
 INI-style config text maps onto nested dataclasses; initial-data families
 are sampled and discretely renormalized to mass 1, momentum 0, energy 3;
 ``run_trajectory``, the package's one run loop, steps them to T with
-``solver.step``, records diagnostics every step and writes each snapshot
-as it is taken; results land on disk as CSV (repr-formatted cells so
-reruns are byte-identical), raw LCF1 snapshots, hand-rolled SVG
-polylines, and a summary text block.  The argparse front end maps error
+the two halves of ``solver.step``, records diagnostics every step and
+writes each snapshot as it is taken; results land on disk as CSV
+(repr-formatted cells so reruns are byte-identical), raw LCF1 snapshots,
+hand-rolled SVG polylines, and a summary text block.  The argparse front end maps error
 classes onto exit codes: config and unreadable input 2, numeric 3,
 failed hypothesis 4, failed checks 1; any other error propagates with
 its traceback (exit 1).
@@ -601,24 +601,28 @@ def write_run_plots(outdir: str, t, linf, fisher, entropy) -> None:
 # experiment driver
 
 
-# n^3 arrays of doubles live at a run's peak, in the eig_range (n >= 48)
-# or the div_flux (below) of a step's new state: the run's Workspace (22
-# plus 16 n^2 doubles: one buffer whose product spectrum overlays a, grad a
-# and grad f), the chunk scratch of eig_range (4 at n <= 48 and 2 at
-# n = 64 with two lanes, more with more lanes) or the smaller face buffers
-# of div_flux, the run's input, the old state's f and rhs and the new f
-# and rhs (5), and the weights that the ellipticity floor and the records
-# read (1 to 3); the grid keeps no |v|^2 or 1 + |v|^2 cube.  No snapshot
-# is held: each goes to disk as it is taken.  Traced cold runs, table
-# excluded, two lanes: 3-step bimaxwellian 35.6, 34.3, 33.9, 32.4 and
-# 30.3 at n = 16/24/32/48/64; the harness32 configuration (cadence 1,
-# every section) 37.1-39.7, 35.4-36.7, 34.9-35.2 and 33.5-33.6 at
-# n = 16/24/32/48, after 6 and after 24 steps.  One lane: bimaxwellian
-# 34.3, 33.2 and 29.8 at n = 24/32/64, harness32 36.2 and 34.6 at
-# n = 24/32.  Four lanes: bimaxwellian 34.6, 33.6 and 32.3 at
-# n = 24/32/64.  Below n = 24 the per-step records, about a kilobyte
-# each, weigh in.
-_STEP_ARRAYS = 38
+# n^3 arrays of doubles live at a run's peak, in the coefficient transforms
+# (``_convolutions``) of a Heun stage: the run's Workspace (22 plus 16 n^2
+# doubles: one buffer whose product spectrum overlays a, grad a and grad f,
+# and whose dead spectrum of f holds the work arrays of eig_range and
+# div_flux and the stage's flux divergence), the old state's f and rhs and
+# the stage f (3), the weights the records read (1 or 2), and the
+# transforms' chunk scratch, the lanes' product blocks (8 x 2n x (n+1)
+# doubles per lane: 1.06 n^3 at n = 16, 0.27 at n = 64) and numpy's loop
+# buffers (64-192 kB per lane: 2-6 n^3 at n = 16, under 0.1 at n = 64).
+# The old state is dropped before the new state's set is built, the run
+# holds no initial field beyond its first step and no <v>^3 cube, and no
+# snapshot is held: each goes to disk as it is taken.  Traced cold runs,
+# table excluded, at n = 16/24/32/48/64: 3-step bimaxwellian 31.7, 30.9,
+# 30.6, 27.5, 26.8 with one lane, 32.2, 31.0, 30.7, 27.6, 27.0 with two
+# and 39.3, 33.4-33.6, 30.7, 28.3, 27.5 with four; the harness32
+# configuration (cadence 1, every section) after 6 and after 24 steps at
+# n = 16/24/32/48: 32.9-33.6, 32.0-32.2, 31.7, 28.5-28.6 with one lane,
+# 33.4-36.3, 32.0-32.3, 31.7-31.8, 28.6-28.7 with two and 40.0-42.1,
+# 33.0-35.8, 31.8, 29.3-29.4 with four.  So 37 covers n >= 24 at every
+# lane count and n = 16 with one or two lanes; with four lanes at n = 16
+# the lanes' blocks and fixed-size buffers pass it, by 5 n^3 (0.17 MB).
+_STEP_ARRAYS = 37
 
 
 def _estimated_peak_bytes(n: int) -> int:
@@ -670,7 +674,12 @@ def run_trajectory(f0: ScalarField, rc: RunControlConfig, dc: DiagnosticsConfig,
     always at T, and written to snapshot_{i:04d}.lcf in outdir as it is
     taken: a breakdown leaves those before it, and the run holds none of
     them.  One ``Workspace`` takes every coefficient set of the run; between
-    sets its first four rows are the records' scratch.
+    sets its first four rows are the records' scratch.  Each step runs as
+    ``solver.heun_update`` then ``solver.complete_state``, with the old
+    state dropped in between, so its f and flux divergence are freed
+    before the new set is built.  f0 is held only as the first state's f:
+    a caller that passes it without keeping it, as ``run_experiment``
+    does, has it freed after the first step.
     """
     T = rc.T
     if not T > 0.0:
@@ -685,6 +694,7 @@ def run_trajectory(f0: ScalarField, rc: RunControlConfig, dc: DiagnosticsConfig,
     snaps, records = [], []
     t_end = T * (1.0 - 1e-12)
     state = solver.make_state(f0, 0.0, work)
+    del f0
     while True:
         records.append(diagnostics.record(state, dc.p_list, dc.m_list, dc.f_floor, scratch))
         done = state.t >= t_end
@@ -694,7 +704,9 @@ def run_trajectory(f0: ScalarField, rc: RunControlConfig, dc: DiagnosticsConfig,
             snaps.append(FileSnapshot(path, grid, state.t, state.step_count))
         if done:
             return Trajectory(grid, tuple(snaps), tuple(records), float(T))
-        state = solver.step(state, control, dt_limit=T - state.t, work=work)
+        update = solver.heun_update(state, control, dt_limit=T - state.t, work=work)
+        del state
+        state = solver.complete_state(update, work)
 
 
 def _check_line(name: str, ok: bool, detail: str) -> str:
@@ -718,8 +730,14 @@ def run_experiment(config: ExperimentConfig, outdir: str) -> int:
     # before the kernel table is built, so a run that cannot fit exits 2
     _check_memory(grid.n)
     init = make_initial_data(config, grid)
+    header = _initial_data_lines(init)
+    # the field is handed to the run as the popped argument, so no name here
+    # holds it: the run's first state is its last holder, and the barrier
+    # reads it back from snapshot 0
+    handed = [init.field]
+    del init
     dc = config.diagnostics
-    traj = run_trajectory(init.field, config.run, dc, outdir)
+    traj = run_trajectory(handed.pop(), config.run, dc, outdir)
     records = traj.records
 
     write_diagnostics_csv(
@@ -729,13 +747,13 @@ def run_experiment(config: ExperimentConfig, outdir: str) -> int:
                     [r.fisher for r in records], [r.entropy for r in records])
 
     # each section gives (summary lines, checks); lines precede all checks
-    sections = [_run_section(init, traj)]
+    sections = [_run_section(header, traj)]
     if config.eps_regularity.enabled:
         sections.append(_eps_regularity_section(config.eps_regularity, traj))
     if config.ladder.enabled:
         sections.append(_ladder_section(config.ladder, traj, outdir))
     if config.barrier.enabled:
-        sections.append(_barrier_section(config.barrier, init, traj, outdir))
+        sections.append(_barrier_section(config.barrier, traj, outdir))
     if config.inequalities.enabled:
         ic = config.inequalities
         sections.append(([], _inequality_checks(
@@ -757,16 +775,23 @@ def _finish(outdir: str, lines: list, checks: list) -> int:
     return 0 if n_fail == 0 else 1
 
 
-def _run_section(init: InitialData, traj):
-    """Summary header, conservation and monotonicity checks of every run."""
-    grid, records = traj.grid, traj.records
-    lines = [
+def _initial_data_lines(init: InitialData) -> list:
+    """The summary's lines on the initial data, its field aside."""
+    grid = init.field.grid
+    return [
         "landau experiment summary (schema=1)",
         f"grid: n={grid.n} l={_fmt(grid.l)} h={_fmt(grid.h)}",
         f"initial_data: family={init.params['family']}",
         f"renormalization residuals: mass={init.residuals[0]:.3e} "
         f"momentum={init.residuals[1]:.3e} energy={init.residuals[2]:.3e}",
         f"tail fraction outside |v|<=l/2: {init.tail_fraction:.3e}",
+    ]
+
+
+def _run_section(header: list, traj):
+    """Summary header, conservation and monotonicity checks of every run."""
+    records = traj.records
+    lines = header + [
         f"run: T={_fmt(traj.T)} steps={traj.states[-1].step_count} "
         f"snapshots={len(traj.states)}",
     ]
@@ -835,8 +860,10 @@ def _ladder_section(lc: LadderConfig, traj, outdir: str):
     return lines, checks
 
 
-def _barrier_section(bc: BarrierConfig, init: InitialData, traj, outdir: str):
-    v = barrier_verdict(traj, init.field, bc.regime, bc.k, n_weight=bc.n_weight, a=bc.a)
+def _barrier_section(bc: BarrierConfig, traj, outdir: str):
+    # snapshot 0 holds the initial field's bits
+    v = barrier_verdict(traj, traj.states[0].f, bc.regime, bc.k, n_weight=bc.n_weight,
+                        a=bc.a)
     rows = [f"{_fmt(s.t)},{_fmt(m)},{_fmt(r)}"
             for s, m, r in zip(traj.states, v.monitor.values, v.monitor.ratios)]
     _write_lines(os.path.join(outdir, "barrier.csv"),

@@ -149,19 +149,25 @@ class Workspace:
     All of them are views of one float64 buffer, shared by phase:
 
         [spectrum of f | A rows 0-5 | a | grad a | grad f | rest of the product]
-                                    ^ the product buffer starts here
+        ^ scratch                   ^ the product buffer starts here
 
     22 n^3 + 16 n^2 doubles in all.  The product buffer is live only while
     the six rows of A are built, and a, grad a and grad f are written only
     after that, so a set and grad f live until the next set is started.
-    Between sets the whole buffer is free, and ``diagnostics.record``
-    borrows four of its rows.  Every offset is an even number of doubles, so both complex views are
-    aligned and the transforms run on them in place.
+    The spectrum of f is dead from the end of the six products until the
+    next set's forward transform: ``scratch`` is its 8 n^2 (n+1) doubles
+    as one flat array, into which the ellipticity range and the flux
+    divergence of a set put their work arrays, and the Heun stage its
+    flux divergence.  Between sets the whole buffer is free, and
+    ``diagnostics.record`` borrows four of its rows.  Every offset is an
+    even number of doubles, so both complex views are aligned and the
+    transforms run on them in place.
     """
 
     coefficients: np.ndarray
     gradient: np.ndarray
     spectra: np.ndarray
+    scratch: np.ndarray
 
     @classmethod
     def for_grid(cls, grid: VelocityGrid) -> Workspace:
@@ -174,7 +180,7 @@ class Workspace:
         gradient = buffer[product + 4 * cube : product + 7 * cube].reshape((3,) + shape)
         spectra = np.ndarray((2, 2 * n, 2 * n, n + 1), complex, buffer,
                              strides=(8 * product, 32 * n * (n + 1), 16 * (n + 1), 16))
-        return cls(coefficients, gradient, spectra)
+        return cls(coefficients, gradient, spectra, buffer[:spectrum])
 
 
 # nodes per x-row chunk of the real transforms along z: a chunk's padded
@@ -347,12 +353,21 @@ class CoefficientSet:
     grad_a: np.ndarray
     A: np.ndarray
 
-    def ellipticity_range(self, out: np.ndarray | None = None) -> tuple[float, float]:
+    def ellipticity_range(
+        self, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+    ) -> tuple[float, float]:
         """(c0_hat, sup_A): the min over nodes of <v>^3 lambda_min(A) and
         the max over nodes of lambda_max(A).  ``out``, (2, n, n, n),
-        receives the per-node smallest and largest eigenvalues of A."""
-        lmin, lmax = _accel.eig_range(self.A, out)
-        return float(np.min(self.grid.weight(3.0) * lmin)), float(np.max(lmax))
+        receives the per-node smallest and largest eigenvalues of A;
+        ``scratch``, flat doubles such as a workspace's ``scratch``, takes
+        the work arrays of ``_accel.eig_range`` and then <v>^3 lambda_min,
+        so the weight is not cached on the grid."""
+        lmin, lmax = _accel.eig_range(self.A, out, scratch)
+        if scratch is None or scratch.size < lmin.size:
+            scratch = np.empty(lmin.size)
+        floor = self.grid.weight(3.0, out=scratch[: lmin.size].reshape(lmin.shape))
+        floor *= lmin
+        return float(np.min(floor)), float(np.max(lmax))
 
 
 def _half_dft(values: np.ndarray, axis: int, odd: bool, workers: int) -> np.ndarray:

@@ -68,10 +68,16 @@ class VelocityGrid:
     def _weights(self) -> dict:
         return {}
 
-    def weight(self, m: float) -> np.ndarray:
+    def weight(self, m: float, out: np.ndarray | None = None) -> np.ndarray:
         """Read-only node values of <v>^m with <v> = (1 + |v|^2)^(1/2),
-        built once per distinct m on this grid."""
+        built once per distinct m on this grid; with ``out``, an (n, n, n)
+        array, built there with the same operations and not cached."""
         m = float(m)
+        if out is not None:
+            b = self.radius2_about((0.0, 0.0, 0.0), out=out)
+            b += 1.0
+            b **= 0.5 * m
+            return b
         w = self._weights.get(m)
         if w is None:
             w = self.bracket2 ** (0.5 * m)

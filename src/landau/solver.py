@@ -6,19 +6,26 @@ the exact adjoint of the face difference, so total mass telescopes to
 round-off every step.  Heun two-stage stepping with a parabolic CFL bound;
 the nonlocal coefficients are rebuilt at each stage.
 
-This module is a stepper: ``make_state`` and ``step``.  The run loop that
-drives it to a time T, records diagnostics and writes snapshots is
-``cli_io.run_trajectory``.  A state keeps its flux divergence, the first
-stage of the next step, and the three scalars of its coefficient set that
-the step bound and the diagnostics read, but not the set.  So no two sets
-are ever alive at once, and a caller that passes one ``Workspace`` to
-every step has every set, every gradient of f and every spectrum of the
-coefficient transforms written into it.  The grid-sized arrays a step
-allocates are the stage f, the stage's flux divergence, which the new f
-is built in, and the new state's divergence.  A set is bare arrays and
-is checked once per state: a state whose flux divergence or coefficient
-bounds are not finite raises ``NumericError``, and a stage's set is
-checked through the new f it builds.
+This module is a stepper: ``make_state`` and ``step``.  A step is two
+halves, ``heun_update``, which builds the new f, and ``complete_state``,
+which builds the new state's coefficient set, ellipticity range and flux
+divergence; ``step`` is their composition.  The run loop that drives it
+to a time T, records diagnostics and writes snapshots is
+``cli_io.run_trajectory``: it calls the two halves and drops the old
+state between them, so the old f and its flux divergence are freed
+before the new set is built.  A state keeps its flux divergence, the
+first stage of the next step, and the three scalars of its coefficient
+set that the step bound and the diagnostics read, but not the set.  So
+no two sets are ever alive at once, and a caller that passes one
+``Workspace`` to every step has every set, every gradient of f and every
+spectrum of the coefficient transforms written into it.  The grid-sized
+arrays a step allocates are the stage f, the new f and the new state's
+flux divergence; the stage's flux divergence and the work arrays of the
+ellipticity range and of both flux divergences go into the workspace's
+``scratch``.  A set is bare arrays and is checked once per state: a
+state whose flux divergence or coefficient bounds are not finite raises
+``NumericError``, and a stage's set is checked through the new f it
+builds.
 """
 from __future__ import annotations
 
@@ -73,22 +80,32 @@ def _coefficients(f: ScalarField, work: Workspace) -> CoefficientSet | None:
     return compute_coefficients(f, work=work) if np.any(f.values) else None
 
 
-def _rhs(f: ScalarField, coeffs: CoefficientSet | None, work: Workspace) -> np.ndarray:
-    """Flux divergence at f with the coefficient set coeffs."""
+def _rhs(f: ScalarField, coeffs: CoefficientSet | None, work: Workspace,
+         in_scratch: bool = False) -> np.ndarray:
+    """Flux divergence at f with the coefficient set coeffs: a new array,
+    or with ``in_scratch`` the first n^3 doubles of ``work.scratch``, dead
+    once the next set is started.  The face buffers take the rest of the
+    scratch."""
+    size = f.values.size
+    if in_scratch:
+        out = work.scratch[:size].reshape(f.values.shape)
+    else:
+        out = np.empty_like(f.values)
     if coeffs is None:
-        return np.zeros_like(f.values)
+        out.fill(0.0)
+        return out
     grad_f = gradient_values(f.grid, f.values, out=work.gradient)
-    return _accel.div_flux(f.values, grad_f, coeffs.A, coeffs.grad_a, f.grid.h)
+    return _accel.div_flux(f.values, grad_f, coeffs.A, coeffs.grad_a, f.grid.h,
+                           out=out, scratch=work.scratch[size:])
 
 
 def _state(f: ScalarField, t: float, work: Workspace, **history) -> SimulationState:
     coeffs = _coefficients(f, work)
     if coeffs is None:
         return SimulationState(f, t, _rhs(f, None, work), 0.0, 0.0, 0.0, **history)
-    # the ellipticity range first, whose work arrays set the peak of a
-    # step: the rhs is not alive yet, and the eigenvalues go into the
-    # gradient buffer that the rhs fills next
-    c0_hat, sup_A = coeffs.ellipticity_range(out=work.gradient[:2])
+    # the ellipticity range first: its eigenvalues go into the gradient
+    # buffer that the rhs fills next, and its work arrays into the scratch
+    c0_hat, sup_A = coeffs.ellipticity_range(out=work.gradient[:2], scratch=work.scratch)
     rhs = _rhs(f, coeffs, work)
     # grad a is not read again: the norm squares it in place
     grad_a_max = math.sqrt(float(np.max(squared_norm(coeffs.grad_a))))
@@ -125,14 +142,27 @@ def stable_dt(state: SimulationState, control: StepControl) -> float:
     return min(dt, control.dt_max)
 
 
-def step(
+@dataclass(frozen=True)
+class HeunUpdate:
+    """A Heun step's new f at time t and the history the new state
+    carries, before its coefficient set is built (``complete_state``)."""
+
+    f: ScalarField
+    t: float
+    step_count: int
+    undershoot: float
+    clipped_mass: float
+
+
+def heun_update(
     state: SimulationState,
     control: StepControl,
     dt_limit: float | None = None,
     work: Workspace | None = None,
-) -> SimulationState:
-    """One Heun step; dt_limit trims the step (used to land exactly on T).
-    ``work`` is the run's workspace, else a fresh one is used and dropped."""
+) -> HeunUpdate:
+    """The first half of a Heun step: the new f.  dt_limit trims the step
+    (used to land exactly on T).  ``work`` is the run's workspace, else a
+    fresh one is used and dropped."""
     grid = state.f.grid
     dt = stable_dt(state, control)
     if dt_limit is not None:
@@ -145,13 +175,15 @@ def step(
     k1 = state.rhs
     f1 = np.multiply(k1, dt)
     f1 += f0
-    # the stage set is written over by the new state's set
+    # the stage set is written over by the new state's set, and the stage
+    # rhs lives in the workspace's scratch until then
     stage = ScalarField(grid, f1)
-    k2 = _rhs(stage, _coefficients(stage, work), work)
+    k2 = _rhs(stage, _coefficients(stage, work), work, in_scratch=True)
     del f1, stage
-    # f0 + 0.5 dt (k1 + k2), built in k2's memory: each element sees the
-    # same operations on the same operands as the plain expression
-    f2 = np.add(k1, k2, out=k2)
+    # f0 + 0.5 dt (k1 + k2), built in a new array once the stage f is
+    # freed: each element sees the same operations on the same operands as
+    # the plain expression
+    f2 = np.add(k1, k2)
     f2 *= 0.5 * dt
     np.add(f0, f2, out=f2)
 
@@ -167,12 +199,30 @@ def step(
         clipped += (pos_total - total) * grid.cell_volume()
         if pos_total > 0.0 and total > 0.0:
             f2 *= total / pos_total
+    return HeunUpdate(ScalarField(grid, f2), state.t + dt, state.step_count + 1,
+                      undershoot, clipped)
 
-    return _state(
-        ScalarField(grid, f2),
-        state.t + dt,
-        work,
-        step_count=state.step_count + 1,
-        undershoot=undershoot,
-        clipped_mass=clipped,
-    )
+
+def complete_state(update: HeunUpdate, work: Workspace | None = None) -> SimulationState:
+    """The second half of a Heun step: the state of the new f, with its
+    coefficient set's bounds and flux divergence.  ``work`` is the run's
+    workspace, else a fresh one is used and dropped."""
+    f = update.f
+    return _state(f, update.t, work or Workspace.for_grid(f.grid),
+                  step_count=update.step_count, undershoot=update.undershoot,
+                  clipped_mass=update.clipped_mass)
+
+
+def step(
+    state: SimulationState,
+    control: StepControl,
+    dt_limit: float | None = None,
+    work: Workspace | None = None,
+) -> SimulationState:
+    """One Heun step, ``complete_state`` of ``heun_update``; dt_limit trims
+    the step (used to land exactly on T).  ``work`` is the run's workspace,
+    else a fresh one is used for both halves and dropped.  The caller's
+    state stays alive through the second half; ``cli_io.run_trajectory``
+    calls the halves itself to drop it."""
+    work = work or Workspace.for_grid(state.f.grid)
+    return complete_state(heun_update(state, control, dt_limit, work), work)

@@ -413,10 +413,11 @@ def test_run_memory_does_not_grow_with_steps(tmp_path):
     # doubles at n = 16 wherever a collection falls.  The runs share a
     # fresh interpreter, as other tests' free lists and caches moved the
     # gap from 0.3-0.6 to 1.0-1.3 n^3 doubles.  They run the default
-    # lanes, where whether two lanes' chunk temporaries overlap at the peak
-    # is up to the thread scheduler: about 1 pair in 12 puts 1.5 n^3
-    # doubles more between equal runs.  A per-step leak shows in every
-    # pair, so the smallest of three gaps is held to the bound
+    # lanes, where whether two lanes' loop buffers overlap at the peak is
+    # up to the thread scheduler: the gap reads 0.61 n^3 doubles on most
+    # pairs, and 3 pairs in 18 put 1.4-1.7 n^3 more between equal runs.  A
+    # per-step leak shows in every pair, so the smallest of three gaps is
+    # held to the bound
     n = 16
     src = os.path.dirname(os.path.dirname(landau.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -428,6 +429,36 @@ def test_run_memory_does_not_grow_with_steps(tmp_path):
     assert proc.returncode == 0, proc.stderr
     gaps = [int(gap) for gap in proc.stdout.splitlines()[-1].split()]
     assert len(gaps) == 3 and min(gaps) < 8 * n ** 3, gaps
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="before 3.11 a call's arguments stay on the caller's stack")
+def test_run_frees_the_initial_field(tmp_path, monkeypatch):
+    # run_experiment hands the initial field to the run and keeps none of
+    # it, and the run holds it only as its first state: once the first
+    # Heun update drops that state, the field is freed, and the barrier
+    # reads it back from snapshot 0
+    refs, alive = [], []
+    make, compute = cli_io.make_initial_data, solver.compute_coefficients
+
+    def making(*args):
+        init = make(*args)
+        refs.append(weakref.ref(init.field.values))
+        return init
+
+    def watching(f, *args, **kwargs):
+        alive.append(refs[0]() is not None)
+        return compute(f, *args, **kwargs)
+
+    monkeypatch.setattr(cli_io, "make_initial_data", making)
+    monkeypatch.setattr(solver, "compute_coefficients", watching)
+    rc, _, summary = _run_config(tmp_path, (
+        "[grid]\nn = 16\n[initial_data]\nfamily = polytail\nk = 10.0\n"
+        "[run]\nT = 0.03\ndt_max = 0.01\nsnapshot_cadence = 1000\n"
+        "[experiments.barrier]\nregime = critical\nk = 10.0\n"))
+    assert rc == 0 and "[PASS] barrier_hypothesis" in "\n".join(summary)
+    # the sets of state 0, then of each step's stage and new state
+    assert alive == [True, True, False, False, False, False, False]
 
 
 @pytest.mark.parametrize("breakdown", ["dt_min", "step"])
@@ -443,14 +474,14 @@ def test_breakdown_leaves_the_snapshots_taken(tmp_path, monkeypatch, capsys, bre
         taken = 1
     else:
         taken = 3
-        step = solver.step
+        heun_update = solver.heun_update
 
         def failing(state, *args, **kwargs):
             if state.step_count == taken - 1:
                 raise landau.NumericError("forced breakdown")
-            return step(state, *args, **kwargs)
+            return heun_update(state, *args, **kwargs)
 
-        monkeypatch.setattr(solver, "step", failing)
+        monkeypatch.setattr(solver, "heun_update", failing)
     cfg = tmp_path / "run.ini"
     cfg.write_text(text)
     out = tmp_path / "out"
@@ -517,8 +548,9 @@ def test_diagnose_subcommand(tmp_path, grid8, capsys):
 
 def test_diagnose_builds_each_weight_once(tmp_path, monkeypatch, capsys):
     # equal grids across the files share one grid, so <v>^4.5 (the record's
-    # norm) and <v>^3 (its ellipticity floor) are built once each, and one
-    # workspace (29 n^3 doubles) serves every file
+    # norm) is built once, <v>^3 (the ellipticity floor) is built in the
+    # workspace's scratch and never cached, and one workspace serves every
+    # file
     grid = make_grid(16, 8.0)
     paths = []
     for i, scale in enumerate((1.0, 0.8, 1.3)):
@@ -529,10 +561,10 @@ def test_diagnose_builds_each_weight_once(tmp_path, monkeypatch, capsys):
     builds = []
     weight = landau.VelocityGrid.weight
 
-    def counting(self, m):
-        if float(m) not in self._weights:
+    def counting(self, m, out=None):
+        if out is None and float(m) not in self._weights:
             builds.append(float(m))
-        return weight(self, m)
+        return weight(self, m, out)
 
     monkeypatch.setattr(landau.VelocityGrid, "weight", counting)
     workspaces = []
@@ -545,7 +577,7 @@ def test_diagnose_builds_each_weight_once(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(Workspace, "for_grid", counting_workspace)
     assert main(["diagnose", *paths]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 2 + len(paths)
-    assert sorted(builds) == [3.0, 4.5]
+    assert sorted(builds) == [4.5]
     assert len(workspaces) == 1
 
 
@@ -844,7 +876,8 @@ def test_diagnose_overflowing_coefficients_exits_3(tmp_path, capsys, value):
 def test_run_reads_each_snapshot_once_per_consumer(tmp_path, monkeypatch):
     # the harness configuration at n = 16 keeps its 51 snapshots: the ladder
     # and the barrier read each once and eps-regularity the 26 of [T/2, T],
-    # so 128 reads in all
+    # and the barrier's default amplitude reads snapshot 0, the initial
+    # field, once more, so 129 reads in all
     reads = []
     read = cli_io.read_snapshot
 
@@ -859,8 +892,9 @@ def test_run_reads_each_snapshot_once_per_consumer(tmp_path, monkeypatch):
     assert rc == 0
     names = sorted(name for name in os.listdir(out) if name.endswith(".lcf"))
     assert len(names) == 51
-    assert len(reads) == 128
-    assert {reads.count(name) for name in names[:25]} == {2}
+    assert len(reads) == 129
+    assert reads.count(names[0]) == 3
+    assert {reads.count(name) for name in names[1:25]} == {2}
     assert {reads.count(name) for name in names[25:]} == {3}
 
 

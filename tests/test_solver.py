@@ -4,12 +4,13 @@ import math
 import os
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 import landau
-from landau import _accel, solver
+from landau import _accel, diagnostics, solver
 from landau.cli_io import DiagnosticsConfig, FileSnapshot, RunControlConfig, run_trajectory
 from landau.coefficients import CoefficientSet, Workspace
 from landau.diagnostics import moments
@@ -258,9 +259,9 @@ def test_eig_range_once_per_recorded_state(grid16, monkeypatch, tmp_path):
     calls = []
     eig_range = _accel.eig_range
 
-    def counting(a6, out=None):
+    def counting(a6, *args):
         calls.append(1)
-        return eig_range(a6, out)
+        return eig_range(a6, *args)
 
     monkeypatch.setattr(_accel, "eig_range", counting)
     rc = RunControlConfig(T=0.03, cfl=0.5, dt_min=1e-9, dt_max=0.01)
@@ -275,9 +276,11 @@ def test_step_releases_stage_coefficients(grid16):
     # a coefficient set holds 10 n^3 doubles (a, grad a, A); a step without
     # the run's workspace allocates one workspace (22 n^3 + 16 n^2, its
     # product spectrum overlaying a, grad a and grad f) for both of its
-    # sets.  With a 29 n^3 workspace, separate spectrum pair, the step
-    # peaked at 39.5 n^3 doubles, against 44 plus the pair when the stage
-    # set was alive while the new state's set was built
+    # sets, and puts the stage's flux divergence and the kernels' work
+    # arrays in its scratch: the step peaks at 28.6 n^3 doubles (29.9 when
+    # those were allocated).  With a 29 n^3 workspace, separate spectrum
+    # pair, the step peaked at 39.5 n^3 doubles, against 44 plus the pair
+    # when the stage set was alive while the new state's set was built
     state = make_state(landau.maxwellian(grid16))
     control = StepControl()
     step(state, control)  # warms the kernel table and state's ellipticity range
@@ -292,9 +295,10 @@ def test_step_releases_stage_coefficients(grid16):
 
 @pytest.mark.parametrize("clip", [False, True])
 def test_heun_update_matches_the_plain_expression(grid16, clip):
-    # the step builds its stage and the new f in place, the new f in the
-    # second stage's memory; every element sees the same operations on
-    # the same operands as the plain expressions, so the bits agree
+    # the step builds its stage in place, the stage's flux divergence in
+    # the workspace's scratch and the new f in a new array; every element
+    # sees the same operations on the same operands as the plain
+    # expressions, so the bits agree
     vals = landau.maxwellian(grid16).values * (1.0 + 0.5 * grid16.axes[0] ** 2 / 64.0)
     if clip:  # a dip below zero for the clip to remove
         vals = vals - 0.25 * float(np.min(vals[vals > 1e-12]))
@@ -340,7 +344,9 @@ def test_warm_step_allocates_no_coefficient_set(grid32):
     # with the run's workspace, a step writes both of its coefficient sets
     # into that one array.  The stage set used to be allocated inside the
     # step: its warm peak was 19.6 n^3 doubles at n = 32, and this bound is
-    # that figure less one set of 10 n^3
+    # that figure less one set of 10 n^3.  The step now peaks at 5.1 n^3
+    # (5.7 before the kernels' work arrays and the stage's flux divergence
+    # moved into the workspace's scratch)
     n = grid32.n
     work = Workspace.for_grid(grid32)
     state = make_state(landau.maxwellian(grid32), 0.0, work)
@@ -353,6 +359,28 @@ def test_warm_step_allocates_no_coefficient_set(grid32):
     finally:
         tracemalloc.stop()
     assert peak < 9.6 * n ** 3 * 8
+
+
+def test_heun_update_keeps_its_stage_rhs_in_the_scratch(monkeypatch):
+    # with the run's workspace, a Heun update allocates the stage f and
+    # then the new f, never both: the stage's flux divergence and the
+    # kernels' work arrays live in the workspace's scratch.  With one lane
+    # at n = 64 the update peaks at 1.51 n^3 doubles, the stage f and the
+    # transforms' chunk scratch; an allocated stage rhs takes it to 2.13
+    monkeypatch.setenv("LANDAU_THREADS", "1")
+    grid = landau.make_grid(64, 8.0)
+    n = grid.n
+    work = Workspace.for_grid(grid)
+    state = make_state(landau.maxwellian(grid), 0.0, work)
+    control = StepControl(dt_max=0.02)
+    solver.heun_update(state, control, work=work)  # warm
+    tracemalloc.start()
+    try:
+        solver.heun_update(state, control, work=work)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.8 * n ** 3 * 8
 
 
 def test_run_frees_its_spectrum_pair(grid16, tmp_path):
@@ -379,6 +407,50 @@ def test_run_frees_its_spectrum_pair(grid16, tmp_path):
     finally:
         tracemalloc.stop()
     assert held == []
+
+
+def test_run_drops_the_old_state_before_the_new_set(grid16, monkeypatch, tmp_path):
+    # the run loop drops the old state between the Heun update and the new
+    # state's coefficient set, so while that set is built the old f and
+    # its flux divergence are freed.  The state of step 0 holds the
+    # caller's f, which this test's frames keep, so only its rhs is checked
+    held = []  # weak references to the last recorded state's arrays
+    sets = []  # coefficient sets started since that record
+    dead = []
+    record, compute = diagnostics.record, solver.compute_coefficients
+
+    def recording(state, *args, **kwargs):
+        arrays = (state.rhs,) if state.step_count == 0 else (state.f.values, state.rhs)
+        held[:] = [weakref.ref(a) for a in arrays]
+        sets.clear()
+        return record(state, *args, **kwargs)
+
+    def watching(f, *args, **kwargs):
+        sets.append(1)
+        if len(sets) == 2:  # the new state's set, after the stage's
+            dead.append([ref() is None for ref in held])
+        return compute(f, *args, **kwargs)
+
+    monkeypatch.setattr(diagnostics, "record", recording)
+    monkeypatch.setattr(solver, "compute_coefficients", watching)
+    traj = run_to(landau.maxwellian(grid16), RunControlConfig(T=0.03, dt_max=0.01), tmp_path)
+    assert traj.states[-1].step_count == 3
+    assert dead == [[True], [True, True], [True, True]]
+
+
+def test_run_caches_no_ellipticity_weight(tmp_path):
+    # the ellipticity floor min <v>^3 lambda_min is formed in the
+    # workspace's scratch, so a run leaves no <v>^3 cube on its grid, and
+    # the range keeps the bits of the expression with the cached weight
+    grid = landau.make_grid(16, 8.0)  # fresh: no other test's weights
+    traj = run_to(_bimaxwellian(grid), RunControlConfig(T=0.03, dt_max=0.01), tmp_path)
+    assert 3.0 not in grid._weights
+    c = landau.compute_coefficients(traj.states[-1].f)
+    c0_hat, sup_A = c.ellipticity_range()
+    assert 3.0 not in grid._weights
+    lmin, lmax = _accel.eig_range(c.A)
+    assert (c0_hat, sup_A) == (float(np.min(grid.weight(3.0) * lmin)), float(np.max(lmax)))
+    assert (traj.records[-1].c0_hat, traj.records[-1].sup_A) == (c0_hat, sup_A)
 
 
 def _bimaxwellian(grid):
